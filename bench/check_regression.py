@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Dispatch-throughput regression gate over google-benchmark JSON.
+"""Hot-path throughput regression gate over google-benchmark JSON.
 
 Compares a fresh BENCH_micro_runtime.json against the committed
-baseline in bench/baselines/ and fails (exit 1) when any
-dispatch-path benchmark lost more than --threshold (default 25%) of
-its items_per_second. The gate targets the failure mode that
-motivates it -- accidentally serializing a lock-free path, which
-costs integer factors, not percent -- so the threshold leaves room
-for the timing noise of shared hardware. Only benchmarks present in
+baseline in bench/baselines/ and fails (exit 1) when any gated
+benchmark -- the host dispatch path or the sim kernel -- lost more
+than --threshold (default 25%) of its items_per_second. The gate
+targets the failure modes that motivate it -- accidentally
+serializing a lock-free path, or putting an allocation back on the
+simulator's per-event path, which cost integer factors, not
+percent -- so the threshold leaves room for the timing noise of
+shared hardware. Only benchmarks present in
 BOTH files are compared, so adding a benchmark never breaks the gate
 (it starts gating once the baseline is refreshed).
 
@@ -25,7 +27,7 @@ where run-to-run swings of 10%+ are routine even for unchanged code:
   than against the absolute baseline. Only slowdowns are corrected
   (the factor is clamped at 1.0), so a uniformly *faster* machine
   never hides a real regression. The corollary is acknowledged: a
-  change that slows every dispatch path by the same factor is
+  change that slows every gated path by the same factor is
   indistinguishable from machine state here and will not trip the
   gate -- per-path regressions, the common failure mode, still do.
 
@@ -46,14 +48,16 @@ import statistics
 import sys
 
 
-# The lock-free fast path under the gate: ring ops, MTL admission,
-# end-to-end host dispatch, and the wide-machine simulated dispatch
-# path. BM_SimDispatch64Contexts used to be excluded (too few
-# iterations inside the smoke's time budget); it now runs a pinned
-# iteration count, which makes its throughput stable enough to gate.
-DISPATCH_PATTERN = re.compile(
+# The hot paths under the gate: ring ops, MTL admission, end-to-end
+# host dispatch, the wide-machine simulated dispatch path, and the
+# sim kernel's primitives (event queue schedule+run, DRAM channel
+# request stream). BM_SimDispatch64Contexts used to be excluded (too
+# few iterations inside the smoke's time budget); it now runs a
+# pinned iteration count, which makes its throughput stable enough
+# to gate.
+GATED_PATTERN = re.compile(
     r"HostDispatch|HostRuntimePairDispatch|MpmcQueue|ShardedGate"
-    r"|SimDispatch",
+    r"|SimDispatch|EventQueueScheduleRun|DramChannelStream",
     re.ASCII)
 
 REPEATS_DECORATION = re.compile(r"/repeats:\d+", re.ASCII)
@@ -69,7 +73,7 @@ def fingerprint(context):
 
 
 def throughputs(doc):
-    """name -> median items_per_second per dispatch-path benchmark.
+    """name -> median items_per_second per gated benchmark.
 
     Repetition aggregates are preferred when present; otherwise the
     median over the individual runs sharing a (repeat-stripped) name
@@ -81,7 +85,7 @@ def throughputs(doc):
         rate = bench.get("items_per_second")
         name = REPEATS_DECORATION.sub(
             "", bench.get("run_name") or bench.get("name", ""))
-        if not rate or not DISPATCH_PATTERN.search(name):
+        if not rate or not GATED_PATTERN.search(name):
             continue
         if bench.get("run_type") == "aggregate":
             if bench.get("aggregate_name") == "median":
@@ -122,7 +126,7 @@ def main():
     cur_rates = throughputs(current)
     shared = sorted(set(base_rates) & set(cur_rates))
     if not shared:
-        print("SKIP: no dispatch benchmarks shared with the baseline")
+        print("SKIP: no gated benchmarks shared with the baseline")
         return 0
 
     # Uniform machine drift between the recordings; <= 1.0 so a
@@ -147,10 +151,10 @@ def main():
             failures.append(name)
 
     if failures:
-        print(f"FAIL: {len(failures)} dispatch benchmark(s) regressed "
+        print(f"FAIL: {len(failures)} gated benchmark(s) regressed "
               f"more than {args.threshold:.0%}: {', '.join(failures)}")
         return 1
-    print(f"ok: {len(shared)} dispatch benchmark(s) within "
+    print(f"ok: {len(shared)} gated benchmark(s) within "
           f"{args.threshold:.0%} of baseline")
     return 0
 

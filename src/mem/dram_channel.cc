@@ -6,8 +6,10 @@
 
 namespace tt::mem {
 
-DramChannel::DramChannel(sim::EventQueue &events, const DramConfig &config)
+DramChannel::DramChannel(sim::EventQueue &events, const DramConfig &config,
+                         sim::Tick frontend_latency)
     : events_(events), config_(config),
+      frontend_latency_(frontend_latency),
       banks_(static_cast<std::size_t>(config.totalBanks())),
       ranks_(static_cast<std::size_t>(config.ranks))
 {
@@ -43,10 +45,11 @@ void
 DramChannel::submit(DramRequest request)
 {
     Pending pending;
-    pending.req = std::move(request);
     pending.arrival = events_.now();
-    mapAddress(pending.req.line_addr, pending.bank, pending.row);
-    queue_.push_back(std::move(pending));
+    pending.is_write = request.is_write;
+    mapAddress(request.line_addr, pending.bank, pending.row);
+    pending.callback = callbacks_.put(std::move(request.on_complete));
+    queue_.push_back(pending);
     ++in_flight_;
     maybeSchedulePick();
 }
@@ -152,7 +155,7 @@ DramChannel::pick()
         }
     }
 
-    Pending chosen = std::move(queue_[best]);
+    const Pending chosen = queue_[best];
     queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(best));
 
     Bank &bank = banks_[static_cast<std::size_t>(chosen.bank)];
@@ -181,7 +184,7 @@ DramChannel::pick()
     if (last_rank_ >= 0 && last_rank_ != rank_index) {
         bus_ready += config_.t_rtrs;
         ++stats_.rank_switches;
-    } else if (last_was_write_ && !chosen.req.is_write) {
+    } else if (last_was_write_ && !chosen.is_write) {
         bus_ready += config_.t_wtr;
         ++stats_.write_read_turnarounds;
     }
@@ -196,7 +199,7 @@ DramChannel::pick()
         ++stats_.row_hits;
     else
         ++stats_.row_conflicts;
-    if (chosen.req.is_write)
+    if (chosen.is_write)
         ++stats_.writes;
     else
         ++stats_.reads;
@@ -221,32 +224,41 @@ DramChannel::pick()
         // precharge into the bank busy time).
         bank.row_open = false;
         bank.ready = data_end + config_.t_rp +
-                     (chosen.req.is_write ? config_.t_wr : 0);
+                     (chosen.is_write ? config_.t_wr : 0);
         bank.hit_streak = 0;
     } else {
         bank.row_open = true;
         bank.open_row = chosen.row;
         bank.ready = data_end;
     }
-    bank.last_was_write = chosen.req.is_write;
+    bank.last_was_write = chosen.is_write;
 
     bus_free_ = data_end;
     last_rank_ = rank_index;
-    last_was_write_ = chosen.req.is_write;
+    last_was_write_ = chosen.is_write;
 
     // Both directions complete a CAS latency after the data slot:
     // reads when the data returns, stores when the line's ownership
     // round trip finishes (ordinary cached stores read-for-ownership
     // before retiring, so their visible cost mirrors a read).
     const sim::Tick done = data_end + config_.t_cl;
-    auto callback = std::move(chosen.req.on_complete);
-    events_.schedule(done, [this, cb = std::move(callback)] {
-        --in_flight_;
-        if (cb)
-            cb();
+    events_.schedule(done, [this, index = chosen.callback] {
+        complete(index);
     });
 
     maybeSchedulePick();
+}
+
+void
+DramChannel::complete(std::uint32_t callback)
+{
+    --in_flight_;
+    auto cb = callbacks_.take(callback);
+    if (!cb)
+        return;
+    // The return hop is scheduled from inside this event, which fixes
+    // its EventId and with it every same-tick tie-break.
+    events_.scheduleIn(frontend_latency_, std::move(cb));
 }
 
 double

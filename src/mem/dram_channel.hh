@@ -25,7 +25,6 @@
 #define TT_MEM_DRAM_CHANNEL_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -62,7 +61,13 @@ struct ChannelStats
 class DramChannel
 {
   public:
-    DramChannel(sim::EventQueue &events, const DramConfig &config);
+    /**
+     * Each request's callback runs as its own event
+     * `frontend_latency` ticks after the DRAM completion: the return
+     * path through the uncore front-end (zero for a bare channel).
+     */
+    DramChannel(sim::EventQueue &events, const DramConfig &config,
+                sim::Tick frontend_latency = 0);
 
     /** Enqueue an access; completion fires via the request callback. */
     void submit(DramRequest request);
@@ -109,14 +114,17 @@ class DramChannel
 
     struct Pending
     {
-        DramRequest req;
         sim::Tick arrival = 0;
-        int bank = 0;
         std::uint64_t row = 0;
+        int bank = 0;
+        bool is_write = false;
+        std::uint32_t callback = 0; ///< slot in callbacks_
     };
 
     void maybeSchedulePick();
     void pick();
+    /** DRAM data is back for the request owning `callback`. */
+    void complete(std::uint32_t callback);
     /** Row-management latency this access would pay right now. */
     sim::Tick prepLatency(const Bank &bank, std::uint64_t row) const;
     /** Push `t` past any refresh window of `rank` covering it. */
@@ -127,9 +135,13 @@ class DramChannel
 
     sim::EventQueue &events_;
     DramConfig config_;
+    sim::Tick frontend_latency_;
     std::vector<Bank> banks_;
     std::vector<Rank> ranks_;
-    std::deque<Pending> queue_;
+    /** Pending requests, oldest first. */
+    std::vector<Pending> queue_;
+    /** Callbacks of requests accepted and not yet completed. */
+    sim::CallbackSlab callbacks_;
     sim::Tick bus_free_ = 0;
     int last_rank_ = -1;          ///< rank of the previous transfer
     bool last_was_write_ = false; ///< direction of previous transfer

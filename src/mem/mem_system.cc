@@ -13,7 +13,8 @@ MemorySystem::MemorySystem(sim::EventQueue &events,
     channels_.reserve(static_cast<std::size_t>(config_.channels));
     for (int c = 0; c < config_.channels; ++c)
         channels_.push_back(
-            std::make_unique<DramChannel>(events_, config_.dram));
+            std::make_unique<DramChannel>(events_, config_.dram,
+                                          config_.frontend_latency));
 }
 
 void
@@ -24,17 +25,13 @@ MemorySystem::access(std::uint64_t line_addr, bool is_write,
     const int channel = static_cast<int>(line_addr % n);
     const std::uint64_t local_line = line_addr / n;
 
+    // The front-end (core -> uncore -> controller and back) adds a
+    // constant latency to the round trip; each channel applies it on
+    // the return path so channel-level timing stays pure DRAM.
     DramRequest request;
     request.line_addr = local_line;
     request.is_write = is_write;
-    // The front-end (core -> uncore -> controller and back) adds a
-    // constant latency to the round trip; apply it on the return
-    // path so channel-level timing stays pure DRAM.
-    request.on_complete = [this, cb = std::move(on_complete)]() mutable {
-        if (!cb)
-            return;
-        events_.scheduleIn(config_.frontend_latency, std::move(cb));
-    };
+    request.on_complete = std::move(on_complete);
     channels_[static_cast<std::size_t>(channel)]->submit(
         std::move(request));
 }

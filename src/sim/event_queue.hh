@@ -3,9 +3,10 @@
  * Deterministic discrete-event queue.
  *
  * Events at the same tick execute in scheduling (FIFO) order, so a
- * simulation is exactly reproducible run to run. Cancellation is
- * lazy: descheduled events stay in the heap but are skipped when
- * popped.
+ * simulation is exactly reproducible run to run. The heap holds
+ * 24-byte POD entries and the callbacks live in a slab, so a heap
+ * sift never moves a closure. Cancellation removes the event from
+ * the heap at once.
  */
 
 #ifndef TT_SIM_EVENT_QUEUE_HH
@@ -13,8 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/ticks.hh"
@@ -24,7 +23,47 @@ namespace tt::sim {
 /** Handle to a scheduled event; usable for descheduling. */
 using EventId = std::uint64_t;
 
-/** Min-heap event queue driving the simulated machine. */
+/**
+ * Callbacks held by index, so the structures that order them (the
+ * event heap, a DRAM channel's request queue) move a 4-byte slot
+ * instead of a closure. Freed slots are reused first, so the slab
+ * stops growing once it covers the peak number held at once.
+ */
+class CallbackSlab
+{
+  public:
+    using Callback = std::function<void()>;
+
+    /** Store `cb`; returns its slot. */
+    std::uint32_t
+    put(Callback cb)
+    {
+        if (free_.empty()) {
+            slots_.push_back(std::move(cb));
+            return static_cast<std::uint32_t>(slots_.size() - 1);
+        }
+        const std::uint32_t slot = free_.back();
+        free_.pop_back();
+        slots_[slot] = std::move(cb);
+        return slot;
+    }
+
+    /** Remove and return the callback in `slot`, freeing the slot. */
+    Callback
+    take(std::uint32_t slot)
+    {
+        Callback cb = std::move(slots_[slot]);
+        slots_[slot] = nullptr;
+        free_.push_back(slot);
+        return cb;
+    }
+
+  private:
+    std::vector<Callback> slots_;
+    std::vector<std::uint32_t> free_;
+};
+
+/** 4-ary min-heap event queue driving the simulated machine. */
 class EventQueue
 {
   public:
@@ -39,7 +78,11 @@ class EventQueue
     /** Schedule `cb` `delta` ticks from now. */
     EventId scheduleIn(Tick delta, Callback cb);
 
-    /** Cancel a pending event; no-op if already executed. */
+    /**
+     * Cancel a pending event; no-op if already executed, already
+     * cancelled or unknown. Linear in the number of pending events
+     * (cancellation is rare: run teardown and retry abandonment).
+     */
     void deschedule(EventId id);
 
     /** True when no live events remain. */
@@ -73,24 +116,27 @@ class EventQueue
     {
         Tick when;
         EventId id;
-        // Shared so heap swaps move a refcount, not the closure.
-        mutable Callback fn;
+        std::uint32_t slot; ///< the callback's slot in callbacks_
 
         bool
-        operator>(const Entry &other) const
+        operator<(const Entry &other) const
         {
             if (when != other.when)
-                return when > other.when;
-            return id > other.id; // FIFO among equal ticks
+                return when < other.when;
+            return id < other.id; // FIFO among equal ticks
         }
     };
+
+    void siftUp(std::size_t index);
+    void siftDown(std::size_t index);
+    /** Remove heap_[index] and restore the heap property. */
+    void removeAt(std::size_t index);
 
     Tick now_ = 0;
     EventId next_id_ = 0;
     std::uint64_t executed_ = 0;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
-        heap_;
-    std::unordered_set<EventId> cancelled_;
+    std::vector<Entry> heap_;
+    CallbackSlab callbacks_;
 };
 
 } // namespace tt::sim

@@ -319,8 +319,9 @@ if(rc EQUAL 0)
     message(FATAL_ERROR "diff missed the injected regression")
 endif()
 
-# 4. Dispatch-throughput regression gate: fresh micro-runtime numbers
-# against the committed baseline (excess per-benchmark loss fails).
+# 4. Hot-path throughput regression gate: fresh micro-runtime numbers
+# for the dispatch path and the sim kernel against the committed
+# baseline (excess per-benchmark loss fails).
 # Five repetitions per benchmark so the script compares medians, not
 # one noisy sample. Skipped under sanitizers (instrumented timings do
 # not compare) and when no python3 was found; the script itself skips
@@ -334,7 +335,7 @@ elseif(NOT PYTHON3 OR NOT BENCH_MICRO)
 else()
     execute_process(
         COMMAND "${BENCH_MICRO}"
-                --benchmark_filter=HostDispatch|HostRuntimePairDispatch|MpmcQueue|ShardedGate|SimDispatch
+                --benchmark_filter=HostDispatch|HostRuntimePairDispatch|MpmcQueue|ShardedGate|SimDispatch|EventQueueScheduleRun|DramChannelStream
                 --benchmark_min_time=0.1
                 --benchmark_repetitions=5
                 --json-out "${WORK_DIR}/bench_micro.json"
@@ -350,7 +351,7 @@ else()
         RESULT_VARIABLE rc)
     if(NOT rc EQUAL 0)
         message(FATAL_ERROR
-                "dispatch-throughput regression gate failed (rc=${rc}); "
+                "hot-path throughput regression gate failed (rc=${rc}); "
                 "see bench/check_regression.py")
     endif()
 endif()

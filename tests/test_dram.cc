@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "mem/dram_channel.hh"
@@ -316,6 +317,44 @@ TEST(MemorySystem, FrontendLatencyAppliedOnce)
     q.run();
     EXPECT_EQ(done, cfg.dram.t_rcd + cfg.dram.t_burst + cfg.dram.t_cl +
                         cfg.frontend_latency);
+}
+
+// Each line access costs exactly three events: the channel's pick,
+// the DRAM completion and the front-end return hop scheduled from
+// inside the completion. Folding the hop into an earlier event would
+// change EventIds and with them every same-tick tie-break.
+TEST(MemorySystem, ThreeEventsPerLineAccess)
+{
+    EventQueue q;
+    MemSystemConfig cfg;
+    cfg.channels = 2;
+    MemorySystem mem(q, cfg);
+    Tick done = 0;
+    mem.access(0, false, [&] { done = q.now(); });
+    q.run();
+    EXPECT_EQ(q.executed(), 3u);
+    EXPECT_EQ(done, cfg.dram.t_rcd + cfg.dram.t_burst + cfg.dram.t_cl +
+                        cfg.frontend_latency);
+
+    // A stream with several requests outstanding keeps the ratio.
+    constexpr std::uint64_t kLines = 256;
+    std::uint64_t issued = 0;
+    std::uint64_t completed = 0;
+    std::function<void()> issue = [&] {
+        const std::uint64_t line = issued++;
+        mem.access(line, line % 3 == 0, [&] {
+            ++completed;
+            if (issued < kLines)
+                issue();
+        });
+    };
+    const std::uint64_t before = q.executed();
+    for (int i = 0; i < 4; ++i)
+        issue();
+    q.run();
+    EXPECT_EQ(completed, kLines);
+    EXPECT_EQ(q.executed() - before, 3 * kLines);
+    EXPECT_EQ(mem.totalAccesses(), kLines + 1);
 }
 
 TEST(MemorySystem, TwoChannelsDoubleThroughput)

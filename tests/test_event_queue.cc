@@ -2,15 +2,20 @@
  * @file
  * Unit tests of the discrete-event kernel: ordering, FIFO tie
  * breaking, cancellation, re-entrant scheduling and the runaway
- * budget.
+ * budget, plus a randomized differential test of the heap against a
+ * reference ordering by (tick, schedule order).
  */
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
 #include "sim/ticks.hh"
+#include "util/random.hh"
 
 namespace {
 
@@ -74,6 +79,49 @@ TEST(EventQueue, DescheduleOneOfMany)
     EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
+TEST(EventQueue, EmptyAfterDescheduleOfLastEvent)
+{
+    EventQueue q;
+    const auto id = q.schedule(10, [] {});
+    EXPECT_FALSE(q.empty());
+    q.deschedule(id);
+    EXPECT_TRUE(q.empty());
+    EXPECT_FALSE(q.runOne());
+    EXPECT_EQ(q.now(), 0u); // a cancelled event never advances time
+}
+
+TEST(EventQueue, DescheduleOfExecutedOrUnknownIdIsNoop)
+{
+    EventQueue q;
+    std::vector<int> order;
+    const auto first = q.schedule(1, [&] { order.push_back(1); });
+    q.run();
+    q.deschedule(first);   // already executed
+    q.deschedule(first);   // twice
+    q.deschedule(12345);   // never issued
+    q.schedule(2, [&] { order.push_back(2); });
+    q.schedule(2, [&] { order.push_back(3); });
+    EXPECT_FALSE(q.empty());
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.executed(), 3u);
+}
+
+TEST(EventQueue, DescheduleOfRunningEventIsNoop)
+{
+    EventQueue q;
+    int runs = 0;
+    tt::sim::EventId self = 0;
+    self = q.schedule(5, [&] {
+        ++runs;
+        q.deschedule(self);
+        q.scheduleIn(1, [&] { ++runs; });
+    });
+    q.run();
+    EXPECT_EQ(runs, 2);
+}
+
 TEST(EventQueue, ReentrantSchedulingAtSameTick)
 {
     EventQueue q;
@@ -102,6 +150,67 @@ TEST(EventQueue, CountsExecutedEvents)
         q.schedule(static_cast<Tick>(i), [] {});
     q.run();
     EXPECT_EQ(q.executed(), 10u);
+}
+
+/**
+ * Differential test: every executed event must be the minimum, by
+ * (tick, schedule order), of a reference set of pending events. The
+ * events schedule successors from inside their callbacks (bursts at
+ * the current tick, near ticks, far ticks) and randomly cancel
+ * earlier handles, live or not.
+ */
+TEST(EventQueue, RandomizedMatchesReferenceOrdering)
+{
+    using Key = std::pair<Tick, std::uint64_t>;
+    constexpr std::uint64_t kEventsPerSeed = 20'000;
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        SCOPED_TRACE(seed);
+        tt::Rng rng(seed);
+        EventQueue q;
+        std::set<Key> pending;
+        std::vector<std::pair<tt::sim::EventId, Key>> handles;
+        std::uint64_t order = 0;
+        std::uint64_t ran = 0;
+        std::uint64_t cancelled = 0;
+
+        std::function<void()> spawn = [&] {
+            const std::uint64_t kind = rng.nextBounded(4);
+            const Tick delta = kind == 0   ? 0
+                               : kind == 1 ? rng.nextBounded(3)
+                               : kind == 2 ? rng.nextBounded(100)
+                                           : rng.nextBounded(100'000);
+            const Key key{q.now() + delta, order++};
+            const auto id = q.scheduleIn(delta, [&, key] {
+                ASSERT_FALSE(pending.empty());
+                EXPECT_EQ(*pending.begin(), key);
+                EXPECT_EQ(q.now(), key.first);
+                pending.erase(key);
+                ++ran;
+                if (order < kEventsPerSeed) {
+                    const std::uint64_t children = rng.nextBounded(4);
+                    for (std::uint64_t c = 0; c < children; ++c)
+                        spawn();
+                }
+                if (rng.nextBounded(8) == 0) {
+                    const auto &[victim, victim_key] =
+                        handles[rng.nextBounded(handles.size())];
+                    cancelled += pending.erase(victim_key);
+                    q.deschedule(victim);
+                }
+            });
+            pending.insert(key);
+            handles.emplace_back(id, key);
+        };
+
+        for (int i = 0; i < 64; ++i)
+            spawn();
+        while (q.runOne())
+            ASSERT_EQ(q.empty(), pending.empty());
+        EXPECT_TRUE(pending.empty());
+        EXPECT_EQ(q.executed(), ran);
+        EXPECT_EQ(ran + cancelled, order);
+        EXPECT_GT(cancelled, 0u);
+    }
 }
 
 TEST(EventQueueDeath, SchedulingIntoThePastPanics)
