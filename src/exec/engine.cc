@@ -46,6 +46,15 @@ wallNanos()
 } // namespace
 
 void
+ExecutionBackend::startAttempt(int context, const AttemptSpec &spec)
+{
+    (void)context;
+    (void)spec;
+    tt_assert(false, "startAttempt called on a backend that pulls its "
+                     "own attempts");
+}
+
+void
 ExecutionBackend::terminateProcess(int exit_code)
 {
     std::fflush(nullptr);
@@ -117,21 +126,21 @@ void
 Engine::activatePhaseLocked(int phase, double now)
 {
     current_phase_ = phase;
-    // Count first, publish the barrier count, then enqueue: in pull
-    // mode a ring push is instantly poppable by a worker whose
-    // completion decrements phase_remaining_, so the count must be
-    // final before the first task escapes.
+    // Count first, publish the barrier count, then enqueue: a ring
+    // push is instantly poppable by a worker whose completion
+    // decrements phase_remaining_, so the count must be final before
+    // the first task escapes.
     int count = 0;
     for (const Task &task : graph_.tasks())
         if (task.phase == phase)
             ++count;
     phase_remaining_.store(count, std::memory_order_seq_cst);
-    // Snapshot the initially-ready set BEFORE the first enqueue. In
-    // pull mode an enqueued task is instantly poppable: a worker can
-    // run and complete it lock-free while this loop is still
-    // scanning, releasing a same-phase compute successor whose
-    // deps_left_ then reads zero -- tripping the memory-only
-    // invariant, which holds for the pre-activation state only.
+    // Snapshot the initially-ready set BEFORE the first enqueue. An
+    // enqueued task is instantly poppable: a worker can run and
+    // complete it lock-free while this loop is still scanning,
+    // releasing a same-phase compute successor whose deps_left_ then
+    // reads zero -- tripping the memory-only invariant, which holds
+    // for the pre-activation state only.
     std::vector<const Task *> initially_ready;
     for (const Task &task : graph_.tasks()) {
         if (task.phase != phase)
@@ -157,24 +166,16 @@ Engine::activatePhaseLocked(int phase, double now)
 void
 Engine::enqueueMemoryReady(TaskId id)
 {
-    if (!pull_mode_) {
-        ready_memory_.push_back(id);
-        return;
-    }
     const bool ok = ready_memory_ring_->tryPush(id);
-    tt_assert(ok, "memory ready ring overflow (sized to task count)");
+    tt_assert(ok, "memory ready ring overflow (sized to pair count)");
     wakeWorkers();
 }
 
 void
 Engine::enqueueComputeReady(TaskId id)
 {
-    if (!pull_mode_) {
-        ready_compute_.push_back(id);
-        return;
-    }
     const bool ok = ready_compute_ring_->tryPush(id);
-    tt_assert(ok, "compute ready ring overflow (sized to task count)");
+    tt_assert(ok, "compute ready ring overflow (sized to pair count)");
     wakeWorkers();
 }
 
@@ -328,9 +329,9 @@ Engine::admitJobLocked(const load::JobSpec &job)
         // on the host (see docs/robustness.md).
         job_arrival_stamp_[pair] = backend_->now();
         job_slo_[pair] = job.slo_seconds;
-        // Span first, enqueue second: a pull-mode worker can pop the
-        // task the instant it is in the ring and append attempts to
-        // the (pair-serialized) open span.
+        // Span first, enqueue second: a worker can pop the task the
+        // instant it is in the ring and append attempts to the
+        // (pair-serialized) open span.
         openSpan(job.pair, job.priority, job_arrival_stamp_[pair]);
         open_span_[pair].decision = out.decision;
         enqueueMemoryReady(graph_.memoryTaskOf(job.pair));
@@ -343,6 +344,9 @@ Engine::admitJobLocked(const load::JobSpec &job)
                          static_cast<double>(out.state));
         policy_.onBackpressure(backend_->now(), out.state,
                                out.backlog);
+        // An SLO-aware policy may move its MTL here; admit against
+        // the new bound from the next dispatch on.
+        refreshMtlCacheLocked();
     }
 
     healthJobVerdictLocked(job, record);
@@ -351,168 +355,64 @@ Engine::admitJobLocked(const load::JobSpec &job)
 void
 Engine::tryScheduleLocked()
 {
-    if (pull_mode_)
-        return; // workers pull their own work off the rings
-    if (run_failed_.load(std::memory_order_relaxed) || finished_)
-        return; // aborting: let in-flight tasks drain, dispatch nothing
-    while (true) {
-        // Lowest-numbered idle context: on the sim backend this fills
-        // distinct physical cores before SMT siblings (see
-        // SimMachine::coreOf); on the host it is simply deterministic.
-        int context = -1;
-        const int n = static_cast<int>(context_busy_.size());
-        for (int c = 0; c < n; ++c) {
-            if (!context_busy_[static_cast<std::size_t>(c)]) {
-                context = c;
-                break;
+    if (pull_mode_ || finished_)
+        return; // worker threads pull their own attempts
+    // Whether a fresh dispatch can still succeed. A failed dispatch
+    // does not depend on the context, so after the first one only
+    // due retries are left to start.
+    bool fresh = !run_failed_.load(std::memory_order_relaxed);
+    const int n = static_cast<int>(running_.size());
+    for (int c = 0; c < n; ++c) {
+        const auto w = static_cast<std::size_t>(c);
+        if (retry_ready_[w].exchange(false, std::memory_order_acq_rel)) {
+            if (run_failed_.load(std::memory_order_relaxed)) {
+                abandonAttemptLocked(c);
+                maybeFinishLocked();
+            } else {
+                backend_->startAttempt(c, retry_spec_[w]);
             }
-        }
-        if (context < 0)
-            return;
-
-        if (!ready_compute_.empty()) {
-            const TaskId id = ready_compute_.front();
-            ready_compute_.pop_front();
-            dispatchLocked(context, id);
             continue;
         }
-        if (!ready_memory_.empty() &&
-            mem_in_flight_ < policy_.currentMtl()) {
-            const TaskId id = ready_memory_.front();
-            ready_memory_.pop_front();
-            dispatchLocked(context, id);
+        if (!fresh || running_[w].load(std::memory_order_relaxed) !=
+                          stream::kInvalidTask)
             continue;
-        }
-        return;
+        AttemptSpec spec;
+        if (tryDispatchReady(c, spec))
+            backend_->startAttempt(c, spec);
+        else
+            fresh = false;
     }
-}
-
-void
-Engine::dispatchLocked(int context, TaskId id)
-{
-    const Task &task = graph_.task(id);
-    context_busy_[static_cast<std::size_t>(context)] = true;
-    running_[static_cast<std::size_t>(context)].store(
-        id, std::memory_order_relaxed);
-
-    const int mtl = policy_.currentMtl();
-    task_mtl_[static_cast<std::size_t>(id)] = mtl;
-    if (task.kind == TaskKind::Memory) {
-        ++mem_in_flight_;
-        peak_mem_in_flight_ =
-            std::max(peak_mem_in_flight_, mem_in_flight_);
-        tt_assert(mem_in_flight_ <= policy_.currentMtl(),
-                  "MTL restriction violated by the scheduler");
-        pair_mem_mtl_[static_cast<std::size_t>(task.pair)] = mtl;
-    }
-
-    startAttemptLocked(context, id);
-}
-
-void
-Engine::startAttemptLocked(int context, TaskId id)
-{
-    AttemptSpec spec;
-    spec.task = id;
-    spec.attempt = attempts_[static_cast<std::size_t>(id)];
-    spec.rerun_memory_first =
-        spec.attempt > 0 && graph_.task(id).kind == TaskKind::Compute;
-    const fault::FaultPlan *plan = options_.fault_plan;
-    if (plan != nullptr && plan->enabled()) {
-        spec.faults = plan->forTask(id, spec.attempt);
-        spec.stall_seconds = plan->config().stall_seconds;
-    }
-    backend_->startAttempt(context, spec);
 }
 
 void
 Engine::onAttemptDone(int context, const AttemptOutcome &outcome)
 {
-    if (pull_mode_) {
-        const TaskId id = running_[static_cast<std::size_t>(context)]
-                              .load(std::memory_order_relaxed);
-        // Fast path: a successful memory attempt in a healthy run
-        // completes without the scheduler mutex. Everything it
-        // touches is worker-owned, pair-serialized or atomic.
-        if (!outcome.failed &&
-            graph_.task(id).kind == TaskKind::Memory &&
-            !run_failed_.load(std::memory_order_acquire)) {
-            completeMemoryFast(context, id, outcome);
-            return;
-        }
-        std::lock_guard lock(mutex_);
-        if (!outcome.failed) {
-            completePullSlowLocked(context, id, outcome);
-            maybeFinishLocked();
-        } else {
-            handlePullFailureLocked(context, id, outcome);
-        }
-        return;
-    }
-
-    std::lock_guard lock(mutex_);
     const TaskId id = running_[static_cast<std::size_t>(context)].load(
         std::memory_order_relaxed);
-
-    if (!outcome.failed) {
-        completeLocked(context, id, outcome);
-        tryScheduleLocked();
-        maybeFinishLocked();
+    // Fast path: a successful memory attempt in a healthy run
+    // completes without the scheduler mutex. Everything it touches is
+    // worker-owned, pair-serialized or atomic.
+    if (!outcome.failed && graph_.task(id).kind == TaskKind::Memory &&
+        !run_failed_.load(std::memory_order_acquire)) {
+        completeMemoryFast(context, id, outcome);
+        if (!pull_mode_) {
+            std::lock_guard lock(mutex_);
+            tryScheduleLocked();
+        }
         return;
     }
-
-    const int attempt = attempts_[static_cast<std::size_t>(id)];
-    if (!run_failed_.load(std::memory_order_relaxed) &&
-        attempt < options_.max_task_retries) {
-        const double backoff =
-            std::min(options_.retry_backoff_seconds *
-                         std::ldexp(1.0, attempt),
-                     50e-3);
-        // Record the failed attempt -- and the backoff it was
-        // granted -- on the pair's span before bumping the counter.
-        spanAttempt(id, context, outcome, true, backoff);
-        ++attempts_[static_cast<std::size_t>(id)];
-        task_retries_.fetch_add(1, std::memory_order_relaxed);
-        if (MetricsRegistry *metrics = options_.metrics)
-            metrics->add("runtime.task_retries", 1);
-        retry_log_.push_back(RetryRecord{id, attempt});
-        // The context stays reserved through the backoff so the retry
-        // cannot be starved out by fresh dispatches.
-        auto &pending = pending_retry_[static_cast<std::size_t>(context)];
-        pending.active.store(true, std::memory_order_relaxed);
-        pending.token = backend_->after(
-            backoff, [this, context] { onRetryTimer(context); });
+    std::lock_guard lock(mutex_);
+    if (outcome.failed) {
+        handleFailureLocked(context, id, outcome);
         return;
     }
-
-    spanAttempt(id, context, outcome, true, 0.0);
-    failTaskLocked(context, id, outcome.error);
-    closeSpan(graph_.task(id).pair, outcome.end,
-                    obs::SpanOutcome::Failed);
+    completeSlowLocked(context, id, outcome);
+    tryScheduleLocked();
     maybeFinishLocked();
 }
 
 void
-Engine::onRetryTimer(int context)
-{
-    std::lock_guard lock(mutex_);
-    auto &pending = pending_retry_[static_cast<std::size_t>(context)];
-    if (!pending.active.load(std::memory_order_relaxed) || finished_)
-        return; // already cancelled / abandoned by a failed run
-    pending.active.store(false, std::memory_order_relaxed);
-    pending.token = 0;
-    const TaskId id = running_[static_cast<std::size_t>(context)].load(
-        std::memory_order_relaxed);
-    if (run_failed_.load(std::memory_order_relaxed)) {
-        abandonContextLocked(context, id);
-        maybeFinishLocked();
-        return;
-    }
-    startAttemptLocked(context, id);
-}
-
-void
-Engine::onRetryTimerPull(int worker)
+Engine::onRetryTimer(int worker)
 {
     std::lock_guard lock(mutex_);
     auto &pending = pending_retry_[static_cast<std::size_t>(worker)];
@@ -526,6 +426,7 @@ Engine::onRetryTimerPull(int worker)
     retry_ready_[static_cast<std::size_t>(worker)].store(
         true, std::memory_order_seq_cst);
     wakeWorkers();
+    tryScheduleLocked();
 }
 
 void
@@ -553,17 +454,11 @@ Engine::recordAttemptEvent(int worker, TaskId id,
         // merged into one event.
         event.has_counters = true;
         event.counters = outcome.counters;
-        if (pull_mode_) {
-            // Worker-local aggregation, folded after the workers
-            // joined (finishResult) -- no synchronisation needed.
-            auto &wc =
-                worker_counters_[static_cast<std::size_t>(worker)];
-            wc.saw = true;
-            wc.totals += outcome.counters;
-        } else {
-            saw_counters_ = true;
-            counter_totals_ += outcome.counters;
-        }
+        // Worker-local aggregation, folded after the workers joined
+        // (finishResult) -- no synchronisation needed.
+        auto &wc = worker_counters_[static_cast<std::size_t>(worker)];
+        wc.saw = true;
+        wc.totals += outcome.counters;
     }
     {
         const std::uint64_t t0 = wallNanos();
@@ -602,23 +497,15 @@ Engine::completePairLocked(int worker, TaskId id, double start,
     }
     backend_->pairCompleted(graph_.task(mem_id));
     samples_.push_back(sample);
-    if (options_.metrics != nullptr && std::isfinite(sample.tm) &&
+    if (metric_shards_.has_value() && std::isfinite(sample.tm) &&
         std::isfinite(sample.tc)) {
         const std::string suffix =
             ".mtl=" + std::to_string(sample.mtl);
-        if (metric_shards_.has_value()) {
-            metric_shards_->observe(
-                static_cast<std::size_t>(worker),
-                "runtime.tm_seconds" + suffix, sample.tm);
-            metric_shards_->observe(
-                static_cast<std::size_t>(worker),
-                "runtime.tc_seconds" + suffix, sample.tc);
-        } else {
-            options_.metrics->observe("runtime.tm_seconds" + suffix,
-                                      sample.tm);
-            options_.metrics->observe("runtime.tc_seconds" + suffix,
-                                      sample.tc);
-        }
+        const auto w = static_cast<std::size_t>(worker);
+        metric_shards_->observe(w, "runtime.tm_seconds" + suffix,
+                                sample.tm);
+        metric_shards_->observe(w, "runtime.tc_seconds" + suffix,
+                                sample.tc);
     }
     policy_.onPairMeasured(sample);
     refreshMtlCacheLocked();
@@ -649,26 +536,14 @@ Engine::completePairLocked(int worker, TaskId id, double start,
         const double queue_wait =
             task_start_[static_cast<std::size_t>(mem_id)] - arrival;
         response_log_.push_back(response);
-        if (options_.metrics != nullptr) {
+        if (metric_shards_.has_value()) {
             const Histogram::Options opts{
                 .min_value = 1e-6, .growth = 2.0, .buckets = 32};
-            if (metric_shards_.has_value()) {
-                metric_shards_->observe(
-                    static_cast<std::size_t>(worker),
-                    "runtime.response_seconds",
-                    std::max(response, 0.0), opts);
-                metric_shards_->observe(
-                    static_cast<std::size_t>(worker),
-                    "runtime.queue_wait_seconds",
-                    std::max(queue_wait, 0.0), opts);
-            } else {
-                options_.metrics->observe("runtime.response_seconds",
-                                          std::max(response, 0.0),
-                                          opts);
-                options_.metrics->observe(
-                    "runtime.queue_wait_seconds",
-                    std::max(queue_wait, 0.0), opts);
-            }
+            const auto w = static_cast<std::size_t>(worker);
+            metric_shards_->observe(w, "runtime.response_seconds",
+                                    std::max(response, 0.0), opts);
+            metric_shards_->observe(w, "runtime.queue_wait_seconds",
+                                    std::max(queue_wait, 0.0), opts);
         }
         const double slo = job_slo_[static_cast<std::size_t>(pair)];
         if (slo > 0.0 && response > slo) {
@@ -686,31 +561,17 @@ Engine::completePairLocked(int worker, TaskId id, double start,
 void
 Engine::readyDepthObserve(int worker)
 {
-    if (options_.metrics == nullptr)
+    if (!metric_shards_.has_value())
         return;
     const Histogram::Options opts{
         .min_value = 1.0, .growth = 2.0, .buckets = 24};
-    const double mem =
-        pull_mode_
-            ? static_cast<double>(ready_memory_ring_->sizeApprox())
-            : static_cast<double>(ready_memory_.size());
-    const double cmp =
-        pull_mode_
-            ? static_cast<double>(ready_compute_ring_->sizeApprox())
-            : static_cast<double>(ready_compute_.size());
-    if (metric_shards_.has_value()) {
-        metric_shards_->observe(static_cast<std::size_t>(worker),
-                                "runtime.ready_memory_depth", mem,
-                                opts);
-        metric_shards_->observe(static_cast<std::size_t>(worker),
-                                "runtime.ready_compute_depth", cmp,
-                                opts);
-    } else {
-        options_.metrics->observe("runtime.ready_memory_depth", mem,
-                                  opts);
-        options_.metrics->observe("runtime.ready_compute_depth", cmp,
-                                  opts);
-    }
+    const auto w = static_cast<std::size_t>(worker);
+    metric_shards_->observe(
+        w, "runtime.ready_memory_depth",
+        static_cast<double>(ready_memory_ring_->sizeApprox()), opts);
+    metric_shards_->observe(
+        w, "runtime.ready_compute_depth",
+        static_cast<double>(ready_compute_ring_->sizeApprox()), opts);
 }
 
 void
@@ -735,39 +596,10 @@ Engine::unlockSuccessors(TaskId id, double now)
 }
 
 void
-Engine::completeLocked(int context, TaskId id,
-                       const AttemptOutcome &outcome)
-{
-    const Task &task = graph_.task(id);
-    const double end = outcome.end;
-    context_busy_[static_cast<std::size_t>(context)] = false;
-    running_[static_cast<std::size_t>(context)].store(
-        stream::kInvalidTask, std::memory_order_relaxed);
-    recordAttemptEvent(context, id, outcome);
-
-    if (task.kind == TaskKind::Memory)
-        --mem_in_flight_;
-    else
-        completePairLocked(context, id, outcome.start, end);
-
-    readyDepthObserve(context);
-    unlockSuccessors(id, end);
-
-    // Phase barrier.
-    if (phase_remaining_.fetch_sub(1, std::memory_order_seq_cst) ==
-            1 &&
-        current_phase_ + 1 < graph_.phaseCount()) {
-        tt_assert(ready_memory_.empty() && ready_compute_.empty(),
-                  "ready tasks left at a phase barrier");
-        activatePhaseLocked(current_phase_ + 1, end);
-    }
-}
-
-void
 Engine::completeMemoryFast(int worker, TaskId id,
                            const AttemptOutcome &outcome)
 {
-    // Lock-free memory-task completion (pull mode, healthy run).
+    // Lock-free memory-task completion (healthy run).
     // Safe without the scheduler mutex because every touched datum is
     // either worker-owned (running_, trace ring, counter shard),
     // pair-serialized (the open span -- the pair's compute task
@@ -794,8 +626,8 @@ Engine::completeMemoryFast(int worker, TaskId id,
 }
 
 void
-Engine::completePullSlowLocked(int worker, TaskId id,
-                               const AttemptOutcome &outcome)
+Engine::completeSlowLocked(int worker, TaskId id,
+                           const AttemptOutcome &outcome)
 {
     // Successful attempt that needs the slow path: a compute (pair)
     // completion, or any completion draining into a failed run.
@@ -825,8 +657,8 @@ Engine::completePullSlowLocked(int worker, TaskId id,
 }
 
 void
-Engine::handlePullFailureLocked(int worker, TaskId id,
-                                const AttemptOutcome &outcome)
+Engine::handleFailureLocked(int worker, TaskId id,
+                            const AttemptOutcome &outcome)
 {
     const auto w = static_cast<std::size_t>(worker);
     const int attempt = attempts_[static_cast<std::size_t>(id)];
@@ -843,9 +675,8 @@ Engine::handlePullFailureLocked(int worker, TaskId id,
             metrics->add("runtime.task_retries", 1);
         retry_log_.push_back(RetryRecord{id, attempt});
         // The worker stays reserved through the backoff (its gate
-        // slot included, for memory tasks): the retry cannot be
-        // starved out, and single-thread runs keep the push-mode
-        // schedule exactly.
+        // slot included, for memory tasks), so the retry cannot be
+        // starved out by fresh dispatches.
         AttemptSpec spec;
         spec.task = id;
         spec.attempt = attempts_[static_cast<std::size_t>(id)];
@@ -860,7 +691,7 @@ Engine::handlePullFailureLocked(int worker, TaskId id,
         auto &pending = pending_retry_[w];
         pending.active.store(true, std::memory_order_relaxed);
         pending.token = backend_->after(
-            backoff, [this, worker] { onRetryTimerPull(worker); });
+            backoff, [this, worker] { onRetryTimer(worker); });
         return;
     }
 
@@ -891,41 +722,11 @@ Engine::markRunFailedLocked(const std::string &reason)
     run_failed_.store(true, std::memory_order_seq_cst);
     tt_warn("aborting run: ", failure_reason_);
     abandonPendingRetriesLocked();
-    if (pull_mode_)
-        wakeWorkers(); // parked workers re-evaluate into drain mode
+    wakeWorkers(); // parked workers re-evaluate into drain mode
 }
 
 void
-Engine::failTaskLocked(int context, TaskId id, const std::string &why)
-{
-    ++task_failures_;
-    if (MetricsRegistry *metrics = options_.metrics)
-        metrics->add("runtime.task_failures", 1);
-    context_busy_[static_cast<std::size_t>(context)] = false;
-    running_[static_cast<std::size_t>(context)].store(
-        stream::kInvalidTask, std::memory_order_relaxed);
-    if (graph_.task(id).kind == TaskKind::Memory)
-        --mem_in_flight_;
-    markRunFailedLocked("task " + std::to_string(id) +
-                        " failed after " +
-                        std::to_string(options_.max_task_retries) +
-                        " retries: " + why);
-}
-
-void
-Engine::abandonContextLocked(int context, TaskId id)
-{
-    // The task never re-ran, so it is abandoned rather than failed:
-    // only the task that exhausted its retries counts as a failure.
-    context_busy_[static_cast<std::size_t>(context)] = false;
-    running_[static_cast<std::size_t>(context)].store(
-        stream::kInvalidTask, std::memory_order_relaxed);
-    if (graph_.task(id).kind == TaskKind::Memory)
-        --mem_in_flight_;
-}
-
-void
-Engine::abandonWorkerAttemptLocked(int worker)
+Engine::abandonAttemptLocked(int worker)
 {
     const auto w = static_cast<std::size_t>(worker);
     const TaskId id = running_[w].load(std::memory_order_relaxed);
@@ -949,12 +750,7 @@ Engine::abandonPendingRetriesLocked()
         pending.active.store(false, std::memory_order_relaxed);
         backend_->cancel(pending.token);
         pending.token = 0;
-        if (pull_mode_)
-            abandonWorkerAttemptLocked(c);
-        else
-            abandonContextLocked(
-                c, running_[static_cast<std::size_t>(c)].load(
-                       std::memory_order_relaxed));
+        abandonAttemptLocked(c);
     }
 }
 
@@ -973,23 +769,15 @@ Engine::maybeFinishLocked()
     if (!drained) {
         if (!run_failed_.load(std::memory_order_relaxed))
             return;
-        if (pull_mode_) {
-            // inflight_attempts_ covers running bodies *and* retry
-            // reservations, so zero means truly idle.
-            if (inflight_attempts_.load(std::memory_order_seq_cst) !=
-                0)
-                return;
-        } else {
-            for (const bool busy : context_busy_)
-                if (busy)
-                    return; // let in-flight attempts deliver first
-        }
+        // inflight_attempts_ covers running bodies *and* retry
+        // reservations, so zero means truly idle.
+        if (inflight_attempts_.load(std::memory_order_seq_cst) != 0)
+            return;
     }
     finished_ = true;
     drain_seconds_ = backend_->now();
     run_complete_.store(true, std::memory_order_seq_cst);
-    if (pull_mode_)
-        wakeWorkers(); // parked workers observe run_complete_, exit
+    wakeWorkers(); // parked workers observe run_complete_, exit
     if (watchdog_token_ != 0) {
         backend_->cancel(watchdog_token_);
         watchdog_token_ = 0;
@@ -1142,13 +930,11 @@ Engine::emitTimeseriesRowLocked()
     obs::TimeseriesSample row;
     row.time = finished_ ? drain_seconds_ : backend_->now();
     row.mtl = policy_.currentMtl();
-    row.mem_in_flight = memInFlightNow();
+    row.mem_in_flight = static_cast<int>(gate_->current());
     row.tasks_done = tasks_done_.load(std::memory_order_relaxed);
     row.pairs_done = static_cast<long>(samples_.size());
-    row.ready_memory = pull_mode_ ? ready_memory_ring_->sizeApprox()
-                                  : ready_memory_.size();
-    row.ready_compute = pull_mode_ ? ready_compute_ring_->sizeApprox()
-                                   : ready_compute_.size();
+    row.ready_memory = ready_memory_ring_->sizeApprox();
+    row.ready_compute = ready_compute_ring_->sizeApprox();
     row.selections = policy_.stats().selections;
     row.degraded = policy_.degraded();
     if (open_loop_) {
@@ -1230,15 +1016,9 @@ Engine::healthTickWindowLocked()
     sample.window = health_tick_window_++;
     sample.time = finished_ ? drain_seconds_ : backend_->now();
 
-    // Hot-path counter deltas since the previous tick window. Push
-    // mode has no gate (the bound check lives under the mutex), so
-    // those detectors stay quiet on the sim backend by construction.
-    long gate_failures = 0;
-    long gate_folds = 0;
-    if (gate_.has_value()) {
-        gate_failures = gate_->admitFailures();
-        gate_folds = gate_->folds();
-    }
+    // Hot-path counter deltas since the previous tick window.
+    const long gate_failures = gate_->admitFailures();
+    const long gate_folds = gate_->folds();
     sample.gate_failures = gate_failures - health_prev_gate_failures_;
     sample.gate_folds = gate_folds - health_prev_gate_folds_;
     health_prev_gate_failures_ = gate_failures;
@@ -1321,18 +1101,9 @@ Engine::publishHealthMetricsLocked()
     health_pub_dropped_ = health_->alertsDropped();
 }
 
-int
-Engine::memInFlightNow() const
-{
-    return pull_mode_ ? static_cast<int>(gate_->current())
-                      : mem_in_flight_;
-}
-
 void
 Engine::refreshMtlCacheLocked()
 {
-    if (!pull_mode_)
-        return;
     // Policies are not thread-safe, so currentMtl() is only read
     // under mutex_ and mirrored here for the lock-free admission
     // bound. The mirror is exact: the policy only changes state
@@ -1433,6 +1204,33 @@ Engine::prepareDispatch(int worker, TaskId id, int mtl,
 }
 
 bool
+Engine::tryDispatchReady(int worker, AttemptSpec &spec)
+{
+    const int bound = mtl_cache_.load(std::memory_order_seq_cst);
+    TaskId id = stream::kInvalidTask;
+    // Compute first: compute tasks are never throttled.
+    if (ready_compute_ring_->tryPop(id)) {
+        prepareDispatch(worker, id, bound, spec);
+        return true;
+    }
+    // Test the gate before taking it: a full gate is the throttle
+    // doing its job, not an admission failure worth counting.
+    if (ready_memory_ring_->emptyApprox() || gate_->current() >= bound)
+        return false;
+    const auto w = static_cast<std::size_t>(worker);
+    if (!gate_->tryAcquire(w, bound))
+        return false;
+    if (ready_memory_ring_->tryPop(id)) {
+        prepareDispatch(worker, id, bound, spec);
+        return true;
+    }
+    // Another worker drained the ring between the probe and the pop;
+    // give the slot back.
+    gate_->release(w);
+    return false;
+}
+
+bool
 Engine::nextAttempt(int worker, AttemptSpec &spec)
 {
     const auto w = static_cast<std::size_t>(worker);
@@ -1443,11 +1241,10 @@ Engine::nextAttempt(int worker, AttemptSpec &spec)
                                      std::memory_order_acq_rel)) {
             // Our granted retry's backoff elapsed: re-run the same
             // task on this worker (the context stayed reserved, so
-            // retries are never starved and single-thread schedules
-            // match push mode exactly).
+            // retries are never starved).
             if (run_failed_.load(std::memory_order_acquire)) {
                 std::lock_guard lock(mutex_);
-                abandonWorkerAttemptLocked(worker);
+                abandonAttemptLocked(worker);
                 maybeFinishLocked();
                 continue;
             }
@@ -1462,29 +1259,9 @@ Engine::nextAttempt(int worker, AttemptSpec &spec)
             parkWorker(worker);
             continue;
         }
-        if (!run_failed_.load(std::memory_order_acquire)) {
-            TaskId id = stream::kInvalidTask;
-            // Compute first, exactly like push-mode tryScheduleLocked.
-            if (ready_compute_ring_->tryPop(id)) {
-                prepareDispatch(worker, id,
-                                mtl_cache_.load(
-                                    std::memory_order_seq_cst),
-                                spec);
-                return true;
-            }
-            const int bound =
-                mtl_cache_.load(std::memory_order_seq_cst);
-            if (!ready_memory_ring_->emptyApprox() &&
-                gate_->tryAcquire(w, bound)) {
-                if (ready_memory_ring_->tryPop(id)) {
-                    prepareDispatch(worker, id, bound, spec);
-                    return true;
-                }
-                // Another worker drained the ring between the probe
-                // and the pop; give the slot back.
-                gate_->release(w);
-            }
-        }
+        if (!run_failed_.load(std::memory_order_acquire) &&
+            tryDispatchReady(worker, spec))
+            return true;
         parkWorker(worker);
     }
 }
@@ -1502,7 +1279,8 @@ Engine::crashDump()
                      "tt: runtime progress: %d/%d tasks done, "
                      "%d memory tasks in flight\n",
                      tasks_done_.load(std::memory_order_relaxed),
-                     graph_.taskCount(), memInFlightNow());
+                     graph_.taskCount(),
+                     static_cast<int>(gate_->current()));
     else
         std::fprintf(stderr,
                      "tt: runtime progress: scheduler lock held "
@@ -1533,7 +1311,6 @@ Engine::run(ExecutionBackend &backend)
     backend_ = &backend;
     const int contexts = backend.contexts();
     tt_assert(contexts >= 1, "need at least one execution context");
-    context_busy_.assign(static_cast<std::size_t>(contexts), false);
     running_ =
         std::vector<std::atomic<TaskId>>(static_cast<std::size_t>(contexts));
     for (auto &slot : running_)
@@ -1541,24 +1318,19 @@ Engine::run(ExecutionBackend &backend)
     pending_retry_ =
         std::vector<PendingRetry>(static_cast<std::size_t>(contexts));
     pull_mode_ = backend.pullDispatch();
-    if (pull_mode_) {
-        // Rings sized to the whole task count: pushes cannot fail.
-        const auto ring_cap = static_cast<std::size_t>(
-            std::max(graph_.taskCount(), 2));
-        ready_memory_ring_.emplace(ring_cap);
-        ready_compute_ring_.emplace(ring_cap);
-        gate_.emplace(static_cast<std::size_t>(contexts));
-        retry_ready_ = std::vector<std::atomic<bool>>(
-            static_cast<std::size_t>(contexts));
-        retry_spec_.assign(static_cast<std::size_t>(contexts),
-                           AttemptSpec{});
-        worker_counters_.assign(static_cast<std::size_t>(contexts),
-                                WorkerCounters{});
-        if (options_.metrics != nullptr)
-            metric_shards_.emplace(
-                *options_.metrics,
-                static_cast<std::size_t>(contexts));
-    }
+    // Each ring holds at most one task per pair: pushes cannot fail.
+    const auto ring_cap = static_cast<std::size_t>(graph_.pairCount());
+    ready_memory_ring_.emplace(ring_cap);
+    ready_compute_ring_.emplace(ring_cap);
+    gate_.emplace(static_cast<std::size_t>(contexts));
+    retry_ready_ =
+        std::vector<std::atomic<bool>>(static_cast<std::size_t>(contexts));
+    retry_spec_.assign(static_cast<std::size_t>(contexts), AttemptSpec{});
+    worker_counters_.assign(static_cast<std::size_t>(contexts),
+                            WorkerCounters{});
+    if (options_.metrics != nullptr)
+        metric_shards_.emplace(*options_.metrics,
+                               static_cast<std::size_t>(contexts));
     tracer_.emplace(contexts, ringCapacity(options_, graph_.taskCount()));
     const auto n_pairs = static_cast<std::size_t>(graph_.pairCount());
     span_buffer_.emplace(std::max<std::size_t>(
@@ -1649,14 +1421,14 @@ Engine::finishResult()
     // metric, hw-counter -- is quiescent; fold the stragglers.
     if (metric_shards_.has_value())
         metric_shards_->fold();
+    const int done = tasks_done_.load(std::memory_order_seq_cst);
+    RunResult result;
     for (const WorkerCounters &wc : worker_counters_) {
         if (!wc.saw)
             continue;
-        saw_counters_ = true;
-        counter_totals_ += wc.totals;
+        result.has_counters = true;
+        result.counters += wc.totals;
     }
-    const int done = tasks_done_.load(std::memory_order_seq_cst);
-    RunResult result;
     result.failed = run_failed_.load(std::memory_order_relaxed);
     result.watchdog_fired = watchdog_fired_;
     result.failure_reason = failure_reason_;
@@ -1676,11 +1448,9 @@ Engine::finishResult()
     result.policy_stats = policy_.stats();
     result.mtl_trace = policy_.mtlTrace();
     result.decisions = policy_.decisions();
-    // Pull mode tracks the peak exactly in the gate (monotonic
-    // CAS-max over the folded shard sum at every successful admit).
-    result.peak_mem_in_flight =
-        pull_mode_ ? static_cast<int>(gate_->peak())
-                   : peak_mem_in_flight_;
+    // The gate tracks the peak exactly (monotonic CAS-max over the
+    // folded shard sum at every successful admit).
+    result.peak_mem_in_flight = static_cast<int>(gate_->peak());
     result.trace = tracer_->merged();
     result.trace_dropped = tracer_->dropped();
     if (span_buffer_.has_value()) {
@@ -1749,9 +1519,6 @@ Engine::finishResult()
         result.phases.push_back(std::move(pr));
     }
 
-    result.has_counters = saw_counters_;
-    result.counters = counter_totals_;
-
     if (health_.has_value()) {
         result.health_enabled = true;
         result.alerts = health_->alerts();
@@ -1806,26 +1573,17 @@ Engine::finishResult()
         metrics->add("obs.overhead.live_export_ns", 0);
         metrics->add("obs.overhead.health_ns",
                      static_cast<std::int64_t>(obs_health_ns_));
-        // Hot-path substrate telemetry. Push mode has no rings, gate
-        // or parking lot; the zero-delta adds / zero sets still
-        // materialize the names so host and sim expose the identical
-        // schema.
-        long gate_failures = 0;
-        long gate_folds = 0;
-        double ring_peak_memory = 0.0;
-        double ring_peak_compute = 0.0;
-        if (pull_mode_) {
-            gate_failures = gate_->admitFailures();
-            gate_folds = gate_->folds();
-            ring_peak_memory = static_cast<double>(
-                ready_memory_ring_->peakApprox());
-            ring_peak_compute = static_cast<double>(
-                ready_compute_ring_->peakApprox());
-        }
-        metrics->add("runtime.gate_admit_failures", gate_failures);
-        metrics->add("runtime.gate_folds", gate_folds);
-        metrics->set("runtime.ring_peak_memory", ring_peak_memory);
-        metrics->set("runtime.ring_peak_compute", ring_peak_compute);
+        // Hot-path substrate telemetry. Only worker threads park; the
+        // sim's zero park/wake counts keep the schema identical.
+        metrics->add("runtime.gate_admit_failures",
+                     gate_->admitFailures());
+        metrics->add("runtime.gate_folds", gate_->folds());
+        metrics->set("runtime.ring_peak_memory",
+                     static_cast<double>(
+                         ready_memory_ring_->peakApprox()));
+        metrics->set("runtime.ring_peak_compute",
+                     static_cast<double>(
+                         ready_compute_ring_->peakApprox()));
         metrics->add("runtime.worker_parks", 0); // shards added real
         metrics->add("runtime.worker_wakes",
                      static_cast<std::int64_t>(wake_notifies_));
@@ -1863,16 +1621,16 @@ Engine::finishResult()
             // the identical metric-name schema either way.
             metrics->add("runtime.perf.llc_misses",
                          static_cast<std::int64_t>(
-                             counter_totals_.llc_misses));
+                             result.counters.llc_misses));
             metrics->add(
                 "runtime.perf.cycles",
-                static_cast<std::int64_t>(counter_totals_.cycles));
+                static_cast<std::int64_t>(result.counters.cycles));
             metrics->add("runtime.perf.stalled_cycles",
                          static_cast<std::int64_t>(
-                             counter_totals_.stalled_cycles));
+                             result.counters.stalled_cycles));
             metrics->add("runtime.perf.instructions",
                          static_cast<std::int64_t>(
-                             counter_totals_.instructions));
+                             result.counters.instructions));
         }
     }
 

@@ -27,7 +27,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <optional>
@@ -399,9 +398,15 @@ struct AttemptOutcome
 
 /**
  * What the engine needs from an execution substrate: a clock, a way
- * to start a task attempt on an idle context, one-shot timers (for
- * retry backoff, the watchdog and the time-series sampler), and a
- * drive loop that blocks until the run is over.
+ * to run task attempts, one-shot timers (for retry backoff, arrivals,
+ * the watchdog and the samplers), and a drive loop that blocks until
+ * the run is over.
+ *
+ * Attempts reach the backend one of two ways, over the same ready
+ * rings and admission gate: worker threads pull them through
+ * Engine::nextAttempt() (pullDispatch() true), or the engine polls on
+ * the backend's behalf at every event boundary and hands each attempt
+ * it finds to startAttempt().
  *
  * Contract: startAttempt()/after()/cancel() are called with the
  * engine lock held and must not call back into the engine
@@ -429,8 +434,12 @@ class ExecutionBackend
     /** Called once at the start of run(); stamps the clock origin. */
     virtual void beginRun(Engine &engine) { engine_ = &engine; }
 
-    /** Begin executing one attempt on an idle context. */
-    virtual void startAttempt(int context, const AttemptSpec &spec) = 0;
+    /**
+     * Begin executing one attempt on an idle context. Called only on
+     * backends that do not pull their own attempts; the default
+     * asserts.
+     */
+    virtual void startAttempt(int context, const AttemptSpec &spec);
 
     /** Schedule `fn` to run `seconds` from now; returns a handle. */
     virtual TimerToken after(double seconds,
@@ -446,13 +455,12 @@ class ExecutionBackend
     virtual void runDrained() {}
 
     /**
-     * True when this backend's workers *pull* attempts from the
-     * engine (Engine::nextAttempt) instead of having the engine push
-     * them through startAttempt(). Pull-mode runs take the engine's
-     * lock-free fast path: MPMC ready rings, sharded admission gate,
-     * per-worker metric shards. Push mode (sim, mocks) keeps every
-     * transition under the scheduler mutex and stays bit-identical
-     * to the historical behaviour.
+     * True when this backend's worker threads pull their attempts
+     * through Engine::nextAttempt(). Otherwise the engine polls the
+     * ready rings and the gate itself -- at run start, after every
+     * completion, and on arrival and retry timers -- and pushes what
+     * it finds through startAttempt(). Either way dispatch is the
+     * same compute-first, MTL-gated discipline.
      */
     virtual bool pullDispatch() const { return false; }
 
@@ -486,27 +494,24 @@ class ExecutionBackend
 
 /**
  * The MTL-gated scheduling state machine, shared by every backend:
- * phase activation, ready queues, compute-first dispatch with memory
+ * phase activation, ready rings, compute-first dispatch with memory
  * admission against policy.currentMtl(), pair timing and sample
  * delivery (with fault-plan corruption mirroring), bounded retries
  * with exponential backoff, clean run failure, watchdog and
  * time-series timers, trace rings and metrics.
  *
- * Thread-safe. Two locking disciplines coexist:
- *
- *  - Push mode (sim, mocks): all scheduler state under one mutex,
- *    the paper's "lock and a counter", bit-identical to the
- *    historical engine. Single-threaded backends never contend.
- *
- *  - Pull mode (host threads): the per-task fast path -- ready-task
- *    dispatch, MTL admission, memory-task completion, successor
- *    unlock, trace/metric publication -- is lock-free (MPMC rings,
- *    a sharded admission gate, atomic dependency/progress counters,
- *    per-worker metric shards). Only the slow path -- pair sample
- *    delivery to the policy, retries, failures, arrivals, phase
- *    barriers, watchdog, finish -- takes the (now rarely touched)
- *    mutex. See docs/substrate.md for the full memory-ordering
- *    argument.
+ * Thread-safe, with one dispatch discipline for every backend. The
+ * per-task fast path -- ready-task dispatch, MTL admission,
+ * memory-task completion, successor unlock, trace/metric publication
+ * -- is lock-free: MPMC ready rings, a sharded admission gate (the
+ * paper's "lock and a counter"), atomic dependency/progress counters
+ * and per-worker metric shards. Only the slow path -- pair sample
+ * delivery to the policy, retries, failures, arrivals, phase
+ * barriers, watchdog, finish -- takes the scheduler mutex. Host
+ * worker threads pull from the rings themselves; for a single-
+ * threaded backend (sim, mocks) the engine polls them under the
+ * mutex in context order, so those runs stay deterministic. See
+ * docs/substrate.md for the memory-ordering argument.
  */
 class Engine
 {
@@ -529,12 +534,11 @@ class Engine
     void onAttemptDone(int context, const AttemptOutcome &outcome);
 
     /**
-     * Pull-mode backend upcall: block until an attempt is available
-     * for `worker` and fill `spec`, or return false when the run is
-     * over and the worker should exit. Ready tasks come off the MPMC
-     * rings; memory admission goes through the sharded gate; a
+     * Worker-thread upcall (pullDispatch() backends): block until an
+     * attempt is available for `worker` and fill `spec`, or return
+     * false when the run is over and the worker should exit. A
      * worker whose task is in retry backoff parks until its own
-     * retry fires (the context stays reserved, as in push mode).
+     * retry fires (the context stays reserved).
      */
     bool nextAttempt(int worker, AttemptSpec &spec);
 
@@ -563,20 +567,19 @@ class Engine
     void onArrivalTimer();
     /** Run one job through admission; queue or shed its pair. */
     void admitJobLocked(const load::JobSpec &job);
+    /**
+     * Poll on behalf of a backend that does not pull: visit contexts
+     * lowest first, start each due retry and fill each idle context
+     * through tryDispatchReady(). On the sim the lowest idle context
+     * fills distinct physical cores before SMT siblings (see
+     * SimMachine::coreOf).
+     */
     void tryScheduleLocked();
-    /** Dispatch a fresh (attempt-0) task onto an idle context. */
-    void dispatchLocked(int context, stream::TaskId id);
-    /** Hand the task's current attempt to the backend. */
-    void startAttemptLocked(int context, stream::TaskId id);
-    void completeLocked(int context, stream::TaskId id,
-                        const AttemptOutcome &outcome);
-    /** Exhausted/abandoned attempt: count the failure, abort run. */
-    void failTaskLocked(int context, stream::TaskId id,
-                        const std::string &why);
-    /** Retry backoff timer fired for `context`. */
-    void onRetryTimer(int context);
-    /** Free a context whose retry was abandoned by a failed run. */
-    void abandonContextLocked(int context, stream::TaskId id);
+    /** Non-blocking dispatch for `worker`: a ready compute task, else
+     *  a ready memory task if the gate admits it. */
+    bool tryDispatchReady(int worker, AttemptSpec &spec);
+    /** Retry backoff timer fired for `worker`. */
+    void onRetryTimer(int worker);
     void abandonPendingRetriesLocked();
     /** Finish the run when drained (or failed and idle). */
     void maybeFinishLocked();
@@ -618,35 +621,31 @@ class Engine
     /** Assemble the RunResult after drive() returned. */
     RunResult finishResult();
 
-    // --- pull-mode (lock-free fast path) helpers ---
-
-    /** Route a newly ready task to the deque (push) or ring (pull). */
+    /** Route a newly ready task to its ring. */
     void enqueueMemoryReady(stream::TaskId id);
     void enqueueComputeReady(stream::TaskId id);
-    /** Stamp dispatch state and build the attempt-0 spec (pull). */
+    /** Stamp dispatch state and build the attempt-0 spec. */
     void prepareDispatch(int worker, stream::TaskId id, int mtl,
                          AttemptSpec &spec);
-    /** Lock-free completion of a successful memory attempt (pull). */
+    /** Lock-free completion of a successful memory attempt. */
     void completeMemoryFast(int worker, stream::TaskId id,
                             const AttemptOutcome &outcome);
-    /** Slow-path completion (pair / failed-run drain) in pull mode. */
-    void completePullSlowLocked(int worker, stream::TaskId id,
-                                const AttemptOutcome &outcome);
-    /** Pull-mode failure: retry with backoff or fail the run. */
-    void handlePullFailureLocked(int worker, stream::TaskId id,
-                                 const AttemptOutcome &outcome);
-    /** Retry backoff elapsed for `worker` (pull mode). */
-    void onRetryTimerPull(int worker);
-    /** Drop the reserved attempt of `worker` (failed run, pull). */
-    void abandonWorkerAttemptLocked(int worker);
-    /** Record attempt / unlock successors, mode-agnostic pieces. */
+    /** Slow-path completion: a pair, or a drain into a failed run. */
+    void completeSlowLocked(int worker, stream::TaskId id,
+                            const AttemptOutcome &outcome);
+    /** Failed attempt: retry with backoff or fail the run. */
+    void handleFailureLocked(int worker, stream::TaskId id,
+                             const AttemptOutcome &outcome);
+    /** Drop the reserved attempt of `worker` (failed run). */
+    void abandonAttemptLocked(int worker);
+    /** Record a successful attempt; unlock its successors. */
     void recordAttemptEvent(int worker, stream::TaskId id,
                             const AttemptOutcome &outcome);
     void unlockSuccessors(stream::TaskId id, double now);
     /** Compute-task completion tail: sample, policy, span close. */
     void completePairLocked(int worker, stream::TaskId id,
                             double start, double end);
-    /** Observe ready-queue depths (shards in pull mode). */
+    /** Observe ready-ring depths into `worker`'s metric shard. */
     void readyDepthObserve(int worker);
     /** Abort the run once: reason, warn, abandon reservations. */
     void markRunFailedLocked(const std::string &reason);
@@ -658,8 +657,6 @@ class Engine
     bool workerShouldSleep(int worker) const;
     /** Nudge parked workers (ring push, retry fire, MTL raise...). */
     void wakeWorkers();
-    /** Memory tasks currently admitted, either mode. */
-    int memInFlightNow() const;
 
     const stream::TaskGraph &graph_;
     core::SchedulingPolicy &policy_;
@@ -668,25 +665,25 @@ class Engine
 
     std::mutex mutex_;
 
-    /** Per-task unfinished-dependency counts. Push mode decrements
-     *  under mutex_; pull mode uses fetch_sub(acq_rel), whose final
-     *  decrement carries the happens-before edge from predecessor
-     *  completion state (task_start_/task_end_) to the dispatcher. */
+    /** Per-task unfinished-dependency counts, decremented with
+     *  fetch_sub(acq_rel): the final decrement carries the
+     *  happens-before edge from predecessor completion state
+     *  (task_start_/task_end_) to the dispatcher. */
     std::vector<std::atomic<int>> deps_left_;
     std::vector<std::vector<stream::TaskId>> succs_;
-    std::deque<stream::TaskId> ready_memory_;
-    std::deque<stream::TaskId> ready_compute_;
-    std::vector<bool> context_busy_;
     std::vector<std::atomic<stream::TaskId>> running_;
     std::vector<PendingRetry> pending_retry_;
     std::vector<int> attempts_; ///< failed attempts per task
 
-    // --- pull-mode state (engaged iff backend->pullDispatch()) ---
-    bool pull_mode_ = false;
+    /** Ready tasks, one ring per kind, each sized to the pair count
+     *  (a ring holds at most one task per pair). */
     std::optional<util::MpmcQueue<stream::TaskId>> ready_memory_ring_;
     std::optional<util::MpmcQueue<stream::TaskId>> ready_compute_ring_;
-    std::optional<util::ShardedGate> gate_; ///< mem_in_flight, sharded
+    std::optional<util::ShardedGate> gate_; ///< memory tasks admitted
     std::optional<obs::ShardedMetrics> metric_shards_;
+    /** True when worker threads pull (pullDispatch()); otherwise the
+     *  engine drives tryScheduleLocked(). */
+    bool pull_mode_ = false;
     /** policy_.currentMtl() mirrored after every policy interaction
      *  (all under mutex_); workers read it lock-free as the
      *  admission bound. */
@@ -737,8 +734,6 @@ class Engine
     std::vector<double> job_arrival_stamp_; ///< per pair, engine clock
     std::vector<double> job_slo_;           ///< per pair, seconds
 
-    int mem_in_flight_ = 0;      ///< push mode (gate_ in pull mode)
-    int peak_mem_in_flight_ = 0; ///< push mode (gate_ peak in pull)
     int current_phase_ = -1;
     std::atomic<int> phase_remaining_{0};
     std::atomic<int> tasks_done_{0};
@@ -758,7 +753,7 @@ class Engine
     // Per-job causal spans (see obs/span.hh). Appends for one pair
     // are serialized by the pair's own dependency chain (memory
     // completes-before compute dispatches), but *different* pairs'
-    // spans open/close concurrently in pull mode, so the open flags
+    // spans open/close concurrently on worker threads, so the flags
     // must be independent atomics -- a packed vector<bool> would
     // race on the shared words.
     std::optional<obs::SpanBuffer> span_buffer_;
@@ -805,10 +800,6 @@ class Engine
     /** Sampler rows skipped because the scheduler mutex was busy
      *  (try_to_lock miss); published as obs.timeseries_skipped. */
     std::atomic<std::int64_t> timeseries_skipped_{0};
-
-    // Hardware-counter aggregation (options_.counters only).
-    bool saw_counters_ = false;
-    obs::perf::CounterSet counter_totals_;
 
     // Fault tolerance. run_failed_ is written under mutex_ but read
     // lock-free by sleeping workers and the crash-dump path.

@@ -154,8 +154,8 @@ CriticalPath computeCriticalPath(const JobSpan &span);
  * pointer into it has left. Slot publication is a release store of
  * the slot's ready flag, matched by acquire loads in spans().
  *
- * Engine push mode still writes from one thread at a time; the host
- * pull path records spans from whichever worker completes the pair.
+ * On the host, spans are recorded by whichever worker completes the
+ * pair; on the sim, by the single event loop.
  */
 class SpanBuffer
 {

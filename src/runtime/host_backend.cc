@@ -75,17 +75,6 @@ HostThreadBackend::beginRun(exec::Engine &engine)
     run_start_ = nowSeconds();
 }
 
-void
-HostThreadBackend::startAttempt(int context,
-                                const exec::AttemptSpec &spec)
-{
-    // Pull mode: workers fetch their own work via Engine::nextAttempt,
-    // so the engine must never push an attempt at this backend.
-    (void)context;
-    (void)spec;
-    tt_assert(false, "startAttempt called on a pull-mode backend");
-}
-
 HostThreadBackend::TimerToken
 HostThreadBackend::after(double seconds, std::function<void()> fn)
 {

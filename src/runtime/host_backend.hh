@@ -4,11 +4,11 @@
  * real worker threads and the steady clock.
  *
  * One software thread per configured context, pinned with CPU
- * affinity where the platform supports it. This backend runs in the
- * engine's *pull* mode: each worker loops on Engine::nextAttempt()
- * -- lock-free ready rings and sharded MTL admission, no scheduler
- * mutex on the per-task path -- executes the body, and reports
- * through Engine::onAttemptDone(). A dedicated timer thread services
+ * affinity where the platform supports it. Each worker pulls its own
+ * attempts: it loops on Engine::nextAttempt() -- lock-free ready
+ * rings and sharded MTL admission, no scheduler mutex on the
+ * per-task path -- executes the body, and reports through
+ * Engine::onAttemptDone(). A dedicated timer thread services
  * the engine's one-shot timers (retry backoff, watchdog deadline,
  * time-series sampling).
  */
@@ -37,8 +37,6 @@ class HostThreadBackend final : public exec::ExecutionBackend
     int contexts() const override { return options_.threads; }
     double now() const override;
     void beginRun(exec::Engine &engine) override;
-    void startAttempt(int context,
-                      const exec::AttemptSpec &spec) override;
     TimerToken after(double seconds,
                      std::function<void()> fn) override;
     void cancel(TimerToken token) override;

@@ -389,6 +389,37 @@ TEST(CrossBackendHealth, QuietRunsEmitNoAlertsOnEitherBackend)
 }
 
 /**
+ * The tick-window detectors read the hot-path counters, which the
+ * sim drives too: its poll takes the same gate as the host workers.
+ * A throttled closed-loop sim run keeps the gate full most of the
+ * time, and a full gate is not an admission failure, so every
+ * detector stays silent while the gate visibly works.
+ */
+TEST(SimHealth, ThrottledClosedLoopIsQuietWithGateTelemetry)
+{
+    const TaskGraph graph = dualGraph(128);
+    tt::MetricsRegistry metrics;
+    EngineOptions options;
+    options.metrics = &metrics;
+    options.health.enabled = true;
+    options.health.model_tml = 50e-6; // arms model_bound
+    options.health.model_tql = 50e-6;
+
+    tt::cpu::SimMachine machine(simConfig(4));
+    StaticMtlPolicy policy(1, 4);
+    tt::simrt::SimRuntime sim(machine, graph, policy, options);
+    const auto result = sim.run();
+
+    ASSERT_FALSE(result.failed);
+    ASSERT_TRUE(result.health_enabled);
+    EXPECT_TRUE(result.alerts.empty());
+    EXPECT_EQ(metrics.counter("runtime.gate_admit_failures"), 0);
+    EXPECT_GT(metrics.counter("runtime.gate_folds"), 0);
+    EXPECT_GT(metrics.gauge("runtime.ring_peak_memory"), 0.0);
+    EXPECT_EQ(result.peak_mem_in_flight, 1);
+}
+
+/**
  * Acceptance: with every detector armed (model fit included), the
  * health engine's self-measured cost stays under 3% of the makespan.
  * Host backend, so both sides of the ratio are wall time.
