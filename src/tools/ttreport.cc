@@ -32,20 +32,10 @@
  *   ttreport --workload synthetic --arrival-rate 2000 --slo-us 4000 \
  *            --service-us 60 --service-tql-us 20 --json
  *
- * Flags (run mode mirrors ttsim's simulator subset):
- *   --workload   synthetic | dft | streamcluster | sift | stencil |
- *                histogram | phased                      [phased]
- *   --machine    1dimm | 2dimm | 2dimm-smt | power7       [1dimm]
- *   --policy     conventional | static | dynamic | online [dynamic]
- *   --mtl K --window W --hysteresis H --ratio R
- *   --footprint-kb KB --pairs N --dim D
- *   --arrival-rate R     enable the open-loop SLO sweep      [off]
- *   --arrival-process    poisson | bursty | diurnal     [poisson]
- *   --arrival-seed S     arrival generator seed              [1]
- *   --slo-us US          per-job relative deadline           [0]
- *   --queue-cap N        admission backlog bound            [64]
- *   --service-us US      admission predictor T_ml            [0]
- *   --service-tql-us US  admission predictor T_ql            [0]
+ * Flags: run mode shares RunSpec (tools/run_spec.hh) with ttsim and
+ * reads ttsim's run flags (see ttsim.cc), but the workload defaults to
+ * phased and there is no --host, --priority-levels, --inject-* or
+ * offline policy; --arrival-rate turns on the SLO sweep.
  *   --health     enable the streaming health detectors; the report
  *                gains a "health" section (alert counts per rule),
  *                compared by --diff when both sides carry one
@@ -55,34 +45,23 @@
  *   --threshold PCT   relative regression threshold, percent  [5]
  *
  * Exit codes: 0 success / no regression; 1 regression found, input
- * unreadable or output write failed; 2 usage error.
+ * unreadable or output write failed; 2 usage error or a flag value out
+ * of range.
  */
 
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/dynamic_policy.hh"
-#include "core/online_exhaustive_policy.hh"
-#include "core/policy.hh"
-#include "cpu/machine_config.hh"
-#include "load/arrival.hh"
 #include "obs/analyzer.hh"
 #include "obs/perf/sim_counter_provider.hh"
 #include "simrt/sim_runtime.hh"
+#include "tools/run_spec.hh"
 #include "util/flags.hh"
 #include "util/json.hh"
-#include "workloads/dft.hh"
-#include "workloads/histogram.hh"
-#include "workloads/phased.hh"
-#include "workloads/sift.hh"
-#include "workloads/stencil.hh"
-#include "workloads/streamcluster.hh"
-#include "workloads/synthetic.hh"
 
 namespace {
 
@@ -111,43 +90,35 @@ usage(const char *argv0)
     return 2;
 }
 
-/** Read a whole file; false (with a message) when unreadable. */
-bool
-readFile(const std::string &path, std::string &out)
+/** Read and parse one saved report; nullopt (with a message) when
+ *  it is unreadable or not JSON. */
+std::optional<tt::json::Value>
+readReport(const std::string &path)
 {
     std::ifstream in(path);
     if (!in) {
         std::fprintf(stderr, "cannot read '%s'\n", path.c_str());
-        return false;
+        return std::nullopt;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    out = buffer.str();
-    return true;
+    std::ostringstream text;
+    text << in.rdbuf();
+    std::string error;
+    auto report = tt::json::parse(text.str(), &error);
+    if (!report)
+        std::fprintf(stderr, "parse '%s': %s\n", path.c_str(),
+                     error.c_str());
+    return report;
 }
 
 int
 runDiff(const std::string &baseline_path,
         const std::string &candidate_path, double threshold)
 {
-    std::string baseline_text;
-    std::string candidate_text;
-    if (!readFile(baseline_path, baseline_text) ||
-        !readFile(candidate_path, candidate_text))
+    const auto baseline = readReport(baseline_path);
+    const auto candidate =
+        baseline ? readReport(candidate_path) : std::nullopt;
+    if (!candidate)
         return 1;
-    std::string error;
-    const auto baseline = tt::json::parse(baseline_text, &error);
-    if (!baseline) {
-        std::fprintf(stderr, "parse '%s': %s\n", baseline_path.c_str(),
-                     error.c_str());
-        return 1;
-    }
-    const auto candidate = tt::json::parse(candidate_text, &error);
-    if (!candidate) {
-        std::fprintf(stderr, "parse '%s': %s\n",
-                     candidate_path.c_str(), error.c_str());
-        return 1;
-    }
     const tt::obs::DiffResult diff =
         tt::obs::diffReports(*baseline, *candidate, threshold);
     for (const std::string &note : diff.notes)
@@ -172,13 +143,11 @@ main(int argc, char **argv)
 {
     tt::Flags flags;
     static const std::vector<std::string> known_flags = {
-        "help",    "workload",     "machine", "policy",
-        "mtl",     "window",       "hysteresis", "ratio",
-        "footprint-kb", "pairs",   "dim",     "json",
-        "out",     "diff",         "threshold",
-        "arrival-rate", "arrival-process", "arrival-seed",
-        "slo-us",  "queue-cap",    "service-us", "service-tql-us",
-        "health",
+        "help", "workload", "machine", "policy", "mtl", "window",
+        "hysteresis", "ratio", "footprint-kb", "pairs", "dim", "json",
+        "out", "diff", "threshold", "arrival-rate", "arrival-process",
+        "arrival-seed", "slo-us", "queue-cap", "service-us",
+        "service-tql-us", "health",
     };
     if (!flags.parse(argc, argv) || !flags.allowOnly(known_flags) ||
         flags.has("help")) {
@@ -187,14 +156,11 @@ main(int argc, char **argv)
         return usage(argv[0]);
     }
 
-    const double threshold =
-        flags.getDouble("threshold", 5.0) / 100.0;
-    if (!flags.error().empty()) {
-        std::fprintf(stderr, "error: %s\n", flags.error().c_str());
-        return usage(argv[0]);
-    }
-    if (threshold < 0.0) {
-        std::fprintf(stderr, "--threshold must be >= 0\n");
+    const double threshold = flags.getDouble("threshold", 5.0) / 100.0;
+    if (threshold < 0.0 || !flags.error().empty()) {
+        std::fprintf(stderr, "error: %s\n",
+                     flags.error().empty() ? "--threshold must be >= 0"
+                                           : flags.error().c_str());
         return 2;
     }
 
@@ -215,165 +181,31 @@ main(int argc, char **argv)
     }
 
     // ---- run mode: one simulated run, analysed in process ----------
-    const std::string machine_name =
-        flags.getString("machine", "1dimm");
-    tt::cpu::MachineConfig machine;
-    if (machine_name == "1dimm") {
-        machine = tt::cpu::MachineConfig::i7_860_1dimm();
-    } else if (machine_name == "2dimm") {
-        machine = tt::cpu::MachineConfig::i7_860_2dimm();
-    } else if (machine_name == "2dimm-smt") {
-        machine = tt::cpu::MachineConfig::i7_860_2dimm_smt();
-    } else if (machine_name == "power7") {
-        machine = tt::cpu::MachineConfig::power7();
-    } else {
-        std::fprintf(stderr, "unknown machine '%s'\n",
-                     machine_name.c_str());
-        return usage(argv[0]);
-    }
-    const int n = machine.contexts();
-
-    const std::string workload =
-        flags.getString("workload", "phased");
-    const int pairs = static_cast<int>(flags.getInt("pairs", 128));
-    tt::stream::TaskGraph graph;
-    if (workload == "synthetic") {
-        tt::workloads::SyntheticParams params;
-        params.tm1_over_tc = flags.getDouble("ratio", 0.5);
-        params.footprint_bytes =
-            static_cast<std::uint64_t>(
-                flags.getInt("footprint-kb", 512)) *
-            1024;
-        params.pairs = pairs;
-        graph = tt::workloads::buildSyntheticSim(machine, params);
-    } else if (workload == "phased") {
-        // Three phases crossing the IdleBound in both directions, so
-        // an adaptive policy has real transitions to audit.
-        std::vector<tt::workloads::PhaseSpec> specs(3);
-        specs[0].name = "low-intensity";
-        specs[0].tm1_over_tc = 0.25;
-        specs[0].pairs = pairs;
-        specs[1].name = "high-intensity";
-        specs[1].tm1_over_tc = 1.5;
-        specs[1].pairs = pairs;
-        specs[2].name = "mid-intensity";
-        specs[2].tm1_over_tc = 0.6;
-        specs[2].pairs = pairs;
-        graph = tt::workloads::buildPhasedSim(machine, specs);
-    } else if (workload == "dft") {
-        graph = tt::workloads::dftSim(machine);
-    } else if (workload == "streamcluster") {
-        graph = tt::workloads::streamclusterSim(
-            machine, static_cast<int>(flags.getInt("dim", 128)));
-    } else if (workload == "sift") {
-        graph = tt::workloads::siftSim(machine);
-    } else if (workload == "stencil") {
-        tt::workloads::StencilParams params;
-        graph = tt::workloads::stencilSim(machine, params);
-    } else if (workload == "histogram") {
-        tt::workloads::HistogramParams params;
-        params.pairs = pairs;
-        graph = tt::workloads::histogramSim(machine, params);
-    } else {
-        std::fprintf(stderr, "unknown workload '%s'\n",
-                     workload.c_str());
-        return usage(argv[0]);
-    }
-
-    const std::string policy_name =
-        flags.getString("policy", "dynamic");
-    const int window = static_cast<int>(flags.getInt("window", 16));
-    // Sweep mode runs the graph several times, and adaptive policies
-    // carry state -- every run gets a freshly built policy.
-    const auto makePolicy =
-        [&](bool slo_aware)
-        -> std::unique_ptr<tt::core::SchedulingPolicy> {
-        if (policy_name == "conventional")
-            return std::make_unique<tt::core::ConventionalPolicy>(n);
-        if (policy_name == "static")
-            return std::make_unique<tt::core::StaticMtlPolicy>(
-                static_cast<int>(flags.getInt("mtl", 1)), n);
-        if (policy_name == "dynamic") {
-            auto dynamic =
-                std::make_unique<tt::core::DynamicThrottlePolicy>(
-                    n, window);
-            dynamic->setIdleBoundHysteresis(
-                static_cast<int>(flags.getInt("hysteresis", 0)));
-            if (slo_aware)
-                dynamic->setSloAware();
-            return dynamic;
-        }
-        if (policy_name == "online")
-            return std::make_unique<
-                tt::core::OnlineExhaustivePolicy>(n, window);
-        return nullptr;
-    };
-    if (makePolicy(false) == nullptr) {
-        std::fprintf(stderr, "unknown policy '%s'\n",
-                     policy_name.c_str());
-        return usage(argv[0]);
-    }
-    if (!flags.error().empty()) {
-        std::fprintf(stderr, "error: %s\n", flags.error().c_str());
-        return usage(argv[0]);
-    }
-
-    // Open-loop SLO sweep configuration.
-    const double arrival_rate = flags.getDouble("arrival-rate", 0.0);
-    tt::load::ArrivalConfig arrivals;
-    tt::load::AdmissionConfig admission;
-    if (arrival_rate < 0.0) {
-        std::fprintf(stderr, "--arrival-rate must be > 0\n");
+    std::string error;
+    const std::optional<tt::tools::RunSpec> spec =
+        tt::tools::parseRunSpec(flags, "phased", &error);
+    if (spec && spec->policy == "offline")
+        error = "--policy offline is a ttsim run mode, not a policy";
+    if (!error.empty()) {
+        std::fprintf(stderr, "error: %s\n", error.c_str());
         return 2;
     }
-    if (arrival_rate > 0.0) {
-        if (graph.phaseCount() != 1) {
-            std::fprintf(stderr,
-                         "the SLO sweep requires a single-phase "
-                         "workload (got %d phases)\n",
-                         graph.phaseCount());
-            return 2;
-        }
-        arrivals.seed = static_cast<std::uint64_t>(
-            flags.getInt("arrival-seed", 1));
-        const std::string process_name =
-            flags.getString("arrival-process", "poisson");
-        if (!tt::load::parseArrivalProcess(process_name.c_str(),
-                                           arrivals.process)) {
-            std::fprintf(stderr, "unknown arrival process '%s'\n",
-                         process_name.c_str());
-            return usage(argv[0]);
-        }
-        arrivals.slo_seconds = flags.getDouble("slo-us", 0.0) * 1e-6;
-        admission.queue_cap =
-            static_cast<int>(flags.getInt("queue-cap", 64));
-        admission.service_tml =
-            flags.getDouble("service-us", 0.0) * 1e-6;
-        admission.service_tql =
-            flags.getDouble("service-tql-us", 0.0) * 1e-6;
-        if (!flags.error().empty()) {
-            std::fprintf(stderr, "error: %s\n",
-                         flags.error().c_str());
-            return usage(argv[0]);
-        }
-        if (arrivals.slo_seconds < 0.0 || admission.queue_cap < 1 ||
-            admission.service_tml < 0.0 ||
-            admission.service_tql < 0.0) {
-            std::fprintf(stderr, "SLO sweep parameters out of "
-                                 "range\n");
-            return 2;
-        }
+    const tt::stream::TaskGraph graph = tt::tools::buildGraph(*spec, nullptr);
+    if (spec->arrival_rate > 0.0 && graph.phaseCount() != 1) {
+        std::fprintf(stderr,
+                     "error: the SLO sweep requires a single-phase "
+                     "workload (got %d phases)\n",
+                     graph.phaseCount());
+        return 2;
     }
 
     // One simulated run, optionally open-loop; fresh machine, policy
     // and counter provider each time so runs are independent.
-    std::string policy_display;
     const auto runSim =
         [&](const tt::load::ArrivalPlan *plan)
         -> tt::exec::RunResult {
-        auto policy = makePolicy(plan != nullptr);
-        policy_display = policy->name();
-        tt::cpu::SimMachine sim_machine(machine);
+        const auto policy = tt::tools::makePolicy(*spec);
+        tt::cpu::SimMachine sim_machine(spec->machine);
         // Always attach the synthesized counter provider: the run is
         // deterministic either way, and the interference table turns
         // the report from "where did the time go" into "which MTL
@@ -382,8 +214,8 @@ main(int argc, char **argv)
         tt::exec::EngineOptions engine_options;
         engine_options.counters = &sim_counters;
         engine_options.arrival_plan = plan;
-        engine_options.admission = admission;
-        engine_options.health.enabled = flags.getBool("health");
+        engine_options.admission = spec->admission;
+        engine_options.health.enabled = spec->health;
         tt::simrt::SimRuntime sim_runtime(sim_machine, graph, *policy,
                                           engine_options);
         return sim_runtime.run();
@@ -397,25 +229,22 @@ main(int argc, char **argv)
 
     tt::obs::SloReport slo;
     std::optional<tt::exec::RunResult> main_result;
-    if (arrival_rate > 0.0) {
+    if (spec->arrival_rate > 0.0) {
         slo.valid = true;
-        slo.slo_seconds = arrivals.slo_seconds;
+        slo.slo_seconds = spec->arrivals.slo_seconds;
         for (const double factor : kSweepFactors) {
-            tt::load::ArrivalConfig point_config = arrivals;
-            point_config.rate = arrival_rate * factor;
-            const tt::load::ArrivalPlan plan =
-                tt::load::buildArrivalPlan(point_config,
-                                           graph.pairCount());
+            const double rate = spec->arrival_rate * factor;
+            const tt::load::ArrivalPlan plan = tt::tools::arrivalPlan(
+                *spec, rate, graph.pairCount(), nullptr);
             tt::exec::RunResult result = runSim(&plan);
             if (result.failed) {
                 std::fprintf(stderr,
                              "sweep run at %.0f jobs/s failed: %s\n",
-                             point_config.rate,
-                             result.failure_reason.c_str());
+                             rate, result.failure_reason.c_str());
                 return 1;
             }
             tt::obs::SloPoint point;
-            point.offered_rate = point_config.rate;
+            point.offered_rate = rate;
             point.offered = result.jobs_offered;
             point.admitted = result.jobs_admitted;
             point.shed = result.jobs_shed;
@@ -439,19 +268,18 @@ main(int argc, char **argv)
                 main_result = std::move(result);
         }
     } else {
-        tt::exec::RunResult result = runSim(nullptr);
-        if (result.failed) {
+        main_result = runSim(nullptr);
+        if (main_result->failed) {
             std::fprintf(stderr, "run failed: %s\n",
-                         result.failure_reason.c_str());
+                         main_result->failure_reason.c_str());
             return 1;
         }
-        main_result = std::move(result);
     }
     const tt::exec::RunResult &result = *main_result;
 
     tt::obs::AnalyzeOptions options;
-    options.policy = policy_display;
-    options.cores = n;
+    options.policy = tt::tools::makePolicy(*spec)->name();
+    options.cores = spec->contexts();
     options.makespan = result.seconds;
     options.policy_stats = result.policy_stats;
     tt::obs::Report report =

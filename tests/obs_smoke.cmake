@@ -271,6 +271,38 @@ if(NOT quiet_alerts MATCHES "slo_burn")
             "ttstat --alerts did not render the detector table")
 endif()
 
+# 1l. A failed run still leaves its Chrome trace next to the metrics:
+# this seeded run exhausts its retries (exit 4), and the trace is the
+# record of which attempts failed.
+file(REMOVE "${WORK_DIR}/failed_trace.json")
+execute_process(
+    COMMAND "${TTSIM}" --pairs 32 --policy dynamic
+            --inject-seed 3 --inject-fail-p 0.6 --max-retries 1
+            --trace-out "${WORK_DIR}/failed_trace.json"
+            --metrics-out "${WORK_DIR}/failed_metrics.json"
+    OUTPUT_QUIET ERROR_QUIET
+    RESULT_VARIABLE rc)
+if(NOT rc EQUAL 4)
+    message(FATAL_ERROR "exhausted-retries run exited ${rc}, want 4")
+endif()
+if(NOT EXISTS "${WORK_DIR}/failed_trace.json")
+    message(FATAL_ERROR "failed run left no Chrome trace")
+endif()
+file(SIZE "${WORK_DIR}/failed_trace.json" failed_trace_size)
+if(failed_trace_size EQUAL 0)
+    message(FATAL_ERROR "failed run left an empty Chrome trace")
+endif()
+
+# 1m. An out-of-range run flag is a usage error (exit 2), not an
+# assertion abort inside the policy library.
+execute_process(
+    COMMAND "${TTSIM}" --policy static --mtl 0
+    OUTPUT_QUIET ERROR_QUIET
+    RESULT_VARIABLE rc)
+if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "ttsim --mtl 0 exited ${rc}, want 2")
+endif()
+
 # 2. Two identical seeded runs produce identical reports: diff passes.
 foreach(name a b)
     execute_process(
