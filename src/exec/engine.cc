@@ -1139,7 +1139,8 @@ Engine::workerShouldSleep(int worker) const
         return false; // exit instead
     if (retry_ready_[w].load(std::memory_order_acquire))
         return false; // our retry is due
-    if (pending_retry_[w].active.load(std::memory_order_acquire))
+    if (running_[w].load(std::memory_order_acquire) !=
+        stream::kInvalidTask)
         return true; // reserved: only our retry timer can free us
     if (run_failed_.load(std::memory_order_acquire))
         return true; // drain mode: nothing to dispatch, wait for end
@@ -1251,11 +1252,14 @@ Engine::nextAttempt(int worker, AttemptSpec &spec)
             spec = retry_spec_[w];
             return true;
         }
-        if (pending_retry_[w].active.load(
-                std::memory_order_acquire)) {
+        if (running_[w].load(std::memory_order_acquire) !=
+            stream::kInvalidTask) {
             // Reserved through a backoff: park, never steal other
-            // work (that would hand the retried task to the wrong
-            // context and break the reservation invariant).
+            // work (that would overwrite the reserved slot and break
+            // the reservation invariant). Test the slot, not
+            // pending_retry_[w].active: the retry timer clears
+            // `active` before it sets retry_ready_, so a worker can
+            // see neither flag while it is still reserved.
             parkWorker(worker);
             continue;
         }

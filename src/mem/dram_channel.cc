@@ -10,6 +10,23 @@ DramChannel::DramChannel(sim::EventQueue &events, const DramConfig &config,
                          sim::Tick frontend_latency)
     : events_(events), config_(config),
       frontend_latency_(frontend_latency),
+      pick_lane_(events.addLane(
+          [](void *self, std::uint64_t) {
+              static_cast<DramChannel *>(self)->pick();
+          },
+          this)),
+      complete_lane_(events.addLane(
+          [](void *self, std::uint64_t callback) {
+              static_cast<DramChannel *>(self)->complete(
+                  static_cast<std::uint32_t>(callback));
+          },
+          this)),
+      hop_lane_(events.addLane(
+          [](void *self, std::uint64_t callback) {
+              static_cast<DramChannel *>(self)->returnHop(
+                  static_cast<std::uint32_t>(callback));
+          },
+          this)),
       banks_(static_cast<std::size_t>(config.totalBanks())),
       ranks_(static_cast<std::size_t>(config.ranks))
 {
@@ -17,6 +34,16 @@ DramChannel::DramChannel(sim::EventQueue &events, const DramConfig &config,
               "channel needs at least one bank");
     tt_assert(config_.row_bytes % kLineBytes == 0,
               "row size must be a whole number of lines");
+    // Rank refreshes are staggered: rank r refreshes during
+    // [offset_r + k*tREFI, offset_r + k*tREFI + tRFC) for k >= 1
+    // (the first refresh falls one full interval after start-up).
+    for (int r = 0; r < config_.ranks; ++r) {
+        Rank &rank = ranks_[static_cast<std::size_t>(r)];
+        rank.refresh_offset = static_cast<sim::Tick>(r) * config_.t_refi /
+                              static_cast<sim::Tick>(config_.ranks);
+        rank.refresh_window = rank.refresh_offset + config_.t_refi;
+        rank.refresh_next_end = rank.refresh_window + config_.t_rfc;
+    }
 }
 
 void
@@ -61,7 +88,7 @@ DramChannel::maybeSchedulePick()
         return;
     pick_scheduled_ = true;
     const sim::Tick when = std::max(events_.now(), bus_free_);
-    events_.schedule(when, [this] { pick(); });
+    events_.scheduleLane(pick_lane_, when, 0);
 }
 
 sim::Tick
@@ -78,48 +105,43 @@ DramChannel::prepLatency(const Bank &bank, std::uint64_t row) const
 }
 
 sim::Tick
-DramChannel::refreshAdjust(int rank, sim::Tick t)
+DramChannel::refreshAdjust(int rank_index, sim::Tick t)
 {
     if (config_.disable_refresh)
         return t;
-    // Rank refreshes are staggered: rank r refreshes during
-    // [offset_r + k*tREFI, offset_r + k*tREFI + tRFC) for k >= 1
-    // (the first refresh falls one full interval after start-up).
+    Rank &rank = ranks_[static_cast<std::size_t>(rank_index)];
     const sim::Tick period = config_.t_refi;
-    const sim::Tick offset =
-        static_cast<sim::Tick>(rank) * period /
-        static_cast<sim::Tick>(config_.ranks);
-    if (t < offset + period)
-        return t;
-    const sim::Tick k = (t - offset) / period;
-    const sim::Tick window_start = offset + k * period;
-    if (t < window_start + config_.t_rfc) {
+    if (t < rank.refresh_offset + period)
+        return t; // before the first refresh
+    // The last window starting at or before t; usually the one found
+    // by the previous call, which saves the division.
+    if (t < rank.refresh_window || t - rank.refresh_window >= period)
+        rank.refresh_window =
+            rank.refresh_offset +
+            (t - rank.refresh_offset) / period * period;
+    if (t < rank.refresh_window + config_.t_rfc) {
         ++stats_.refresh_stalls;
-        return window_start + config_.t_rfc;
+        return rank.refresh_window + config_.t_rfc;
     }
     return t;
 }
 
 void
-DramChannel::applyRefreshToBanks(int rank, sim::Tick now)
+DramChannel::applyRefreshToBanks(int rank_index, sim::Tick now)
 {
     if (config_.disable_refresh)
         return;
     // If a refresh window for this rank completed since we last
     // looked, it precharged every row in the rank.
-    const sim::Tick period = config_.t_refi;
-    const sim::Tick offset =
-        static_cast<sim::Tick>(rank) * period /
-        static_cast<sim::Tick>(config_.ranks);
-    if (now < offset + period + config_.t_rfc)
-        return; // the first refresh (k = 1) has not completed yet
-    const sim::Tick k = (now - offset - config_.t_rfc) / period;
-    const sim::Tick last_end = offset + k * period + config_.t_rfc;
-    Rank &state = ranks_[static_cast<std::size_t>(rank)];
-    if (last_end <= state.refresh_applied_until)
+    Rank &rank = ranks_[static_cast<std::size_t>(rank_index)];
+    if (now < rank.refresh_next_end)
         return;
-    state.refresh_applied_until = last_end;
-    const int first = rank * config_.banks_per_rank;
+    const sim::Tick period = config_.t_refi;
+    const sim::Tick last_end =
+        rank.refresh_next_end +
+        (now - rank.refresh_next_end) / period * period;
+    rank.refresh_next_end = last_end + period;
+    const int first = rank_index * config_.banks_per_rank;
     for (int b = first; b < first + config_.banks_per_rank; ++b) {
         Bank &bank = banks_[static_cast<std::size_t>(b)];
         if (bank.ready < last_end) {
@@ -242,9 +264,7 @@ DramChannel::pick()
     // round trip finishes (ordinary cached stores read-for-ownership
     // before retiring, so their visible cost mirrors a read).
     const sim::Tick done = data_end + config_.t_cl;
-    events_.schedule(done, [this, index = chosen.callback] {
-        complete(index);
-    });
+    events_.scheduleLane(complete_lane_, done, chosen.callback);
 
     maybeSchedulePick();
 }
@@ -253,12 +273,23 @@ void
 DramChannel::complete(std::uint32_t callback)
 {
     --in_flight_;
-    auto cb = callbacks_.take(callback);
-    if (!cb)
+    if (!callbacks_.holds(callback)) {
+        callbacks_.take(callback);
         return;
+    }
     // The return hop is scheduled from inside this event, which fixes
     // its EventId and with it every same-tick tie-break.
-    events_.scheduleIn(frontend_latency_, std::move(cb));
+    events_.scheduleLane(hop_lane_, events_.now() + frontend_latency_,
+                         callback);
+}
+
+void
+DramChannel::returnHop(std::uint32_t callback)
+{
+    // Take the callback out first: it may submit, which can reuse
+    // this slot.
+    const auto cb = callbacks_.take(callback);
+    cb();
 }
 
 double

@@ -65,6 +65,11 @@ class DramChannel
      * Each request's callback runs as its own event
      * `frontend_latency` ticks after the DRAM completion: the return
      * path through the uncore front-end (zero for a bare channel).
+     *
+     * The channel's three events per line (pick, completion, return
+     * hop) each go on their own FIFO lane of `events`: at most one
+     * pick is pending, and completions and hops are in time order
+     * because every transfer ends after the one before it.
      */
     DramChannel(sim::EventQueue &events, const DramConfig &config,
                 sim::Tick frontend_latency = 0);
@@ -108,8 +113,12 @@ class DramChannel
         int act_head = 0;
         std::uint64_t act_count = 0; ///< activations issued so far
         sim::Tick last_act = 0;
-        /** End of the last refresh window already applied to banks. */
-        sim::Tick refresh_applied_until = 0;
+        /** Start of this rank's refresh windows within each tREFI. */
+        sim::Tick refresh_offset = 0;
+        /** End of the first refresh window not yet applied to banks. */
+        sim::Tick refresh_next_end = 0;
+        /** Start of the refresh window refreshAdjust() found last. */
+        sim::Tick refresh_window = 0;
     };
 
     struct Pending
@@ -125,6 +134,8 @@ class DramChannel
     void pick();
     /** DRAM data is back for the request owning `callback`. */
     void complete(std::uint32_t callback);
+    /** The request's data reached the core: run its callback. */
+    void returnHop(std::uint32_t callback);
     /** Row-management latency this access would pay right now. */
     sim::Tick prepLatency(const Bank &bank, std::uint64_t row) const;
     /** Push `t` past any refresh window of `rank` covering it. */
@@ -136,6 +147,9 @@ class DramChannel
     sim::EventQueue &events_;
     DramConfig config_;
     sim::Tick frontend_latency_;
+    sim::LaneId pick_lane_;
+    sim::LaneId complete_lane_;
+    sim::LaneId hop_lane_;
     std::vector<Bank> banks_;
     std::vector<Rank> ranks_;
     /** Pending requests, oldest first. */

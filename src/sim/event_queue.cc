@@ -9,6 +9,8 @@ namespace tt::sim {
 namespace {
 
 constexpr std::size_t kArity = 4;
+/** First ring size of a lane; a power of two, as every later one. */
+constexpr std::size_t kLaneInitialCapacity = 16;
 
 } // namespace
 
@@ -43,19 +45,91 @@ EventQueue::deschedule(EventId id)
     removeAt(static_cast<std::size_t>(it - heap_.begin()));
 }
 
+LaneId
+EventQueue::addLane(LaneHandler handler, void *owner)
+{
+    tt_assert(handler, "registering a lane without a handler");
+    Lane lane;
+    lane.handler = handler;
+    lane.owner = owner;
+    lane.ring.resize(kLaneInitialCapacity);
+    lanes_.push_back(std::move(lane));
+    heads_.push_back(kNoEvent);
+    return static_cast<LaneId>(lanes_.size() - 1);
+}
+
+EventId
+EventQueue::scheduleLane(LaneId lane_id, Tick when, std::uint64_t arg)
+{
+    tt_assert(lane_id < lanes_.size(), "unknown lane ", lane_id);
+    Lane &lane = lanes_[lane_id];
+    tt_assert(when >= now_, "cannot schedule into the past (when=",
+              when, ", now=", now_, ")");
+    tt_assert(when >= lane.last_when, "lane ", lane_id,
+              " out of order (when=", when, ", last=", lane.last_when,
+              ")");
+    if (lane.count == lane.ring.size()) {
+        // Full: unroll into a ring twice the size, oldest first.
+        std::vector<LaneEntry> grown(2 * lane.ring.size());
+        for (std::size_t i = 0; i < lane.count; ++i)
+            grown[i] = lane.ring[(lane.head + i) % lane.ring.size()];
+        lane.ring = std::move(grown);
+        lane.head = 0;
+    }
+    const EventId id = next_id_++;
+    const std::size_t mask = lane.ring.size() - 1;
+    lane.ring[(lane.head + lane.count) & mask] = LaneEntry{when, id, arg};
+    if (lane.count++ == 0)
+        heads_[lane_id] = Head{when, id};
+    lane.last_when = when;
+    ++lane_pending_;
+    return id;
+}
+
 bool
 EventQueue::runOne()
 {
-    if (heap_.empty())
+    // The earliest lane head...
+    std::size_t best_lane = heads_.size();
+    Head best = kNoEvent;
+    for (std::size_t i = 0; i < heads_.size(); ++i) {
+        if (before(heads_[i], best)) {
+            best = heads_[i];
+            best_lane = i;
+        }
+    }
+
+    // ...unless the heap top precedes it.
+    if (!heap_.empty() &&
+        before(Head{heap_.front().when, heap_.front().id}, best)) {
+        const Entry top = heap_.front();
+        removeAt(0);
+        now_ = top.when;
+        ++executed_;
+        // Take the closure out first: it may schedule, which can grow
+        // the slab and reuse this slot.
+        const Callback fn = callbacks_.take(top.slot);
+        fn();
+        return true;
+    }
+    if (best_lane == heads_.size())
         return false;
-    const Entry top = heap_.front();
-    removeAt(0);
-    now_ = top.when;
+
+    Lane &lane = lanes_[best_lane];
+    const LaneEntry event = lane.ring[lane.head];
+    lane.head = (lane.head + 1) & (lane.ring.size() - 1);
+    --lane.count;
+    --lane_pending_;
+    heads_[best_lane] = lane.count == 0
+                            ? kNoEvent
+                            : Head{lane.ring[lane.head].when,
+                                   lane.ring[lane.head].id};
+    now_ = event.when;
     ++executed_;
-    // Take the closure out first: it may schedule, which can grow
-    // the slab and reuse this slot.
-    const Callback fn = callbacks_.take(top.slot);
-    fn();
+    // The handler may add lanes, which moves `lane`.
+    const LaneHandler handler = lane.handler;
+    void *const owner = lane.owner;
+    handler(owner, event.arg);
     return true;
 }
 

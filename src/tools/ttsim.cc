@@ -269,6 +269,9 @@ main(int argc, char **argv)
         flags.getDouble("slo-fail-threshold", -1.0);
     const bool quiet = flags.getBool("quiet");
     const bool perf_counters = flags.getBool("perf-counters");
+    const bool print_trace = flags.getBool("trace");
+    const bool metrics_summary = flags.getBool("metrics-summary");
+    const bool no_pin = flags.getBool("no-pin");
     std::string error;
     if (!timeseries_path.empty() && timeseries_interval <= 0.0)
         error = "--timeseries-interval-us must be > 0";
@@ -380,7 +383,7 @@ main(int argc, char **argv)
     // runaway simulation).
     tt::exec::EngineOptions options;
     options.threads = n;
-    options.pin_affinity = !flags.getBool("no-pin");
+    options.pin_affinity = !no_pin;
     options.metrics = &metrics;
     options.fault_plan = fault_plan ? &*fault_plan : nullptr;
     options.arrival_plan = arrival_plan ? &*arrival_plan : nullptr;
@@ -560,10 +563,10 @@ main(int argc, char **argv)
         return result.watchdog_fired ? 3 : 4;
     if (!written)
         return 1;
-    if (flags.getBool("metrics-summary"))
+    if (metrics_summary)
         std::printf("\n%s", metrics.summaryTable().c_str());
 
-    if (!spec->host && flags.getBool("trace")) {
+    if (!spec->host && print_trace) {
         std::printf("\nschedule trace (task kind pair phase context "
                     "start_us end_us mtl):\n");
         for (const auto &entry : result.trace)

@@ -303,6 +303,21 @@ if(NOT rc EQUAL 2)
     message(FATAL_ERROR "ttsim --mtl 0 exited ${rc}, want 2")
 endif()
 
+# 1n. So is a malformed boolean flag, with one message naming it.
+foreach(flag trace metrics-summary no-pin quiet perf-counters)
+    execute_process(
+        COMMAND "${TTSIM}" --pairs 4 --${flag}=maybe
+        OUTPUT_QUIET
+        ERROR_VARIABLE err
+        RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 2)
+        message(FATAL_ERROR "ttsim --${flag}=maybe exited ${rc}, want 2")
+    endif()
+    if(NOT err MATCHES "flag --${flag} expects a boolean, got 'maybe'")
+        message(FATAL_ERROR "ttsim --${flag}=maybe printed: ${err}")
+    endif()
+endforeach()
+
 # 2. Two identical seeded runs produce identical reports: diff passes.
 foreach(name a b)
     execute_process(

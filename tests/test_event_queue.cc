@@ -2,12 +2,14 @@
  * @file
  * Unit tests of the discrete-event kernel: ordering, FIFO tie
  * breaking, cancellation, re-entrant scheduling and the runaway
- * budget, plus a randomized differential test of the heap against a
- * reference ordering by (tick, schedule order).
+ * budget, plus randomized differential tests of the heap, and of the
+ * heap mixed with FIFO lanes, against a reference ordering by (tick,
+ * schedule order).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <set>
 #include <utility>
@@ -19,8 +21,18 @@
 
 namespace {
 
+using tt::sim::EventId;
 using tt::sim::EventQueue;
+using tt::sim::LaneId;
 using tt::sim::Tick;
+
+/** Lane handler appending `arg` to the std::vector<int> at `owner`. */
+void
+recordArg(void *owner, std::uint64_t arg)
+{
+    static_cast<std::vector<int> *>(owner)->push_back(
+        static_cast<int>(arg));
+}
 
 TEST(EventQueue, RunsInTimeOrder)
 {
@@ -211,6 +223,202 @@ TEST(EventQueue, RandomizedMatchesReferenceOrdering)
         EXPECT_EQ(ran + cancelled, order);
         EXPECT_GT(cancelled, 0u);
     }
+}
+
+TEST(EventQueueLane, InterleavesWithHeapByTickThenScheduleOrder)
+{
+    EventQueue q;
+    std::vector<int> order;
+    const LaneId a = q.addLane(recordArg, &order);
+    const LaneId b = q.addLane(recordArg, &order);
+    q.schedule(5, [&] { order.push_back(10); });
+    q.scheduleLane(b, 5, 11);
+    q.scheduleLane(a, 5, 12);
+    q.schedule(3, [&] { order.push_back(13); });
+    q.scheduleLane(a, 7, 14);
+    q.schedule(5, [&] { order.push_back(15); });
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{13, 10, 11, 12, 15, 14}));
+}
+
+TEST(EventQueueLane, EmptyAndExecutedCountLaneEvents)
+{
+    EventQueue q;
+    std::vector<int> order;
+    const LaneId lane = q.addLane(recordArg, &order);
+    EXPECT_TRUE(q.empty());
+    q.scheduleLane(lane, 4, 1);
+    q.scheduleLane(lane, 9, 2);
+    EXPECT_FALSE(q.empty());
+    EXPECT_TRUE(q.runOne());
+    EXPECT_EQ(q.executed(), 1u);
+    EXPECT_EQ(q.now(), 4u);
+    EXPECT_FALSE(q.empty());
+    EXPECT_TRUE(q.runOne());
+    EXPECT_EQ(q.executed(), 2u);
+    EXPECT_TRUE(q.empty());
+    EXPECT_FALSE(q.runOne());
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(EventQueueLane, RingGrowsPastItsFirstCapacity)
+{
+    EventQueue q;
+    std::vector<int> order;
+    const LaneId lane = q.addLane(recordArg, &order);
+    // Wrap the ring first, so growing has to unroll it.
+    const auto at = [&](int i) {
+        q.scheduleLane(lane, static_cast<Tick>(i),
+                       static_cast<std::uint64_t>(i));
+    };
+    for (int i = 0; i < 10; ++i)
+        at(i);
+    for (int i = 0; i < 8; ++i)
+        q.runOne();
+    for (int i = 10; i < 100; ++i)
+        at(i);
+    q.run();
+    ASSERT_EQ(order.size(), 100u);
+    for (int i = 0; i < 100; ++i)
+        EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
+}
+
+/**
+ * Randomized state for the mixed heap/lane differential test: events
+ * go to the heap or to one of three lanes, every executed event must
+ * be the reference minimum by (tick, schedule order), and the queue
+ * must hand out EventIds in schedule order across both kinds.
+ */
+class MixedRun
+{
+  public:
+    using Key = std::pair<Tick, std::uint64_t>;
+    static constexpr std::uint64_t kEventsPerSeed = 20'000;
+    static constexpr int kLanes = 3;
+
+    explicit MixedRun(std::uint64_t seed) : rng_(seed)
+    {
+        for (int i = 0; i < kLanes; ++i) {
+            lanes_.push_back(q_.addLane(
+                [](void *self, std::uint64_t arg) {
+                    auto *run = static_cast<MixedRun *>(self);
+                    run->fire(run->lane_keys_[arg]);
+                },
+                this));
+            lane_last_.push_back(0);
+        }
+    }
+
+    void
+    drive()
+    {
+        for (int i = 0; i < 64; ++i)
+            spawn();
+        while (q_.runOne())
+            ASSERT_EQ(q_.empty(), pending_.empty());
+        EXPECT_TRUE(pending_.empty());
+        EXPECT_EQ(q_.executed(), ran_);
+        EXPECT_EQ(ran_ + cancelled_, order_);
+        EXPECT_GT(cancelled_, 0u);
+        EXPECT_GT(lane_events_, order_ / 4);
+    }
+
+  private:
+    void
+    spawn()
+    {
+        const std::uint64_t kind = rng_.nextBounded(4);
+        const Tick delta = kind == 0   ? 0
+                           : kind == 1 ? rng_.nextBounded(3)
+                           : kind == 2 ? rng_.nextBounded(100)
+                                       : rng_.nextBounded(100'000);
+        const std::uint64_t target = rng_.nextBounded(kLanes + 1);
+        EventId id = 0;
+        Key key;
+        if (target == kLanes) {
+            key = Key{q_.now() + delta, order_++};
+            id = q_.scheduleIn(delta, [this, key] { fire(key); });
+            heap_handles_.emplace_back(id, key);
+        } else {
+            // A lane never goes back in time: clamp to its last tick,
+            // which also makes same-tick bursts on the lane common.
+            Tick &last = lane_last_[target];
+            last = std::max(last, q_.now() + delta);
+            key = Key{last, order_++};
+            id = q_.scheduleLane(lanes_[target], last, lane_keys_.size());
+            lane_keys_.push_back(key);
+            ++lane_events_;
+        }
+        EXPECT_EQ(id, key.second);
+        pending_.insert(key);
+    }
+
+    void
+    fire(const Key &key)
+    {
+        ASSERT_FALSE(pending_.empty());
+        EXPECT_EQ(*pending_.begin(), key);
+        EXPECT_EQ(q_.now(), key.first);
+        pending_.erase(key);
+        ++ran_;
+        if (order_ < kEventsPerSeed) {
+            const std::uint64_t children = rng_.nextBounded(4);
+            for (std::uint64_t c = 0; c < children; ++c)
+                spawn();
+        }
+        // Only heap events can be cancelled.
+        if (rng_.nextBounded(8) == 0 && !heap_handles_.empty()) {
+            const auto &[victim, victim_key] =
+                heap_handles_[rng_.nextBounded(heap_handles_.size())];
+            cancelled_ += pending_.erase(victim_key);
+            q_.deschedule(victim);
+        }
+    }
+
+    tt::Rng rng_;
+    EventQueue q_;
+    std::vector<LaneId> lanes_;
+    std::vector<Tick> lane_last_;
+    std::vector<Key> lane_keys_; ///< a lane event's arg indexes this
+    std::vector<std::pair<EventId, Key>> heap_handles_;
+    std::set<Key> pending_;
+    std::uint64_t order_ = 0;
+    std::uint64_t ran_ = 0;
+    std::uint64_t cancelled_ = 0;
+    std::uint64_t lane_events_ = 0;
+};
+
+TEST(EventQueueLane, RandomizedMixedMatchesReferenceOrdering)
+{
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        SCOPED_TRACE(seed);
+        MixedRun(seed).drive();
+    }
+}
+
+TEST(EventQueueDeath, OutOfOrderLaneEventPanics)
+{
+    EventQueue q;
+    std::vector<int> order;
+    const LaneId lane = q.addLane(recordArg, &order);
+    q.scheduleLane(lane, 100, 1);
+    EXPECT_DEATH(q.scheduleLane(lane, 50, 2), "out of order");
+}
+
+TEST(EventQueueDeath, LaneEventsCountAgainstTheBudget)
+{
+    EventQueue q;
+    // A lane handler that always reschedules itself (on lane 0, the
+    // queue's only lane) never drains.
+    const LaneId lane = q.addLane(
+        [](void *self, std::uint64_t) {
+            auto *queue = static_cast<EventQueue *>(self);
+            queue->scheduleLane(0, queue->now() + 1, 0);
+        },
+        &q);
+    ASSERT_EQ(lane, 0u);
+    q.scheduleLane(lane, 0, 0);
+    EXPECT_DEATH(q.run(1000), "budget");
 }
 
 TEST(EventQueueDeath, SchedulingIntoThePastPanics)

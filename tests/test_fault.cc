@@ -271,6 +271,39 @@ TEST(HostChaos, ExhaustedRetriesFailCleanly)
     EXPECT_GE(result.task_retries, 2);
 }
 
+// A worker whose attempt failed stays reserved for its retry. When the
+// retry timer fires between the worker's "is my retry due?" and "am I
+// still reserved?" checks, the worker must not take fresh work: that
+// overwrote its running slot, and the retry then completed against an
+// empty slot and aborted. Short backoffs, frequent failures and more
+// workers than CPUs open that window within a few dozen runs.
+TEST(HostChaos, RetryTimerRacingDispatchKeepsTheReservation)
+{
+    for (std::uint64_t seed = 1; seed <= 192; ++seed) {
+        FaultConfig config;
+        config.seed = seed;
+        config.fail_p = 0.3;
+        const FaultPlan plan(config);
+
+        const int pairs = 256;
+        CountedGraph counted = countedGraph(pairs);
+        ConventionalPolicy policy(8);
+        EngineOptions opts = hostOptions(8);
+        opts.fault_plan = &plan;
+        opts.max_task_retries = 64;
+        opts.retry_backoff_seconds = 10e-6;
+        Runtime runtime(counted.graph, policy, opts);
+        const auto result = runtime.run();
+
+        ASSERT_FALSE(result.failed)
+            << "seed " << seed << ": " << result.failure_reason;
+        EXPECT_GT(result.task_retries, 0) << "seed " << seed;
+        EXPECT_EQ(result.samples.size(),
+                  static_cast<std::size_t>(pairs))
+            << "seed " << seed;
+    }
+}
+
 TEST(HostChaos, StragglersAndStallsStillComplete)
 {
     FaultConfig config;
