@@ -791,15 +791,13 @@ Engine::maybeFinishLocked()
         backend_->cancel(arrival_token_);
         arrival_token_ = 0;
     }
-    if (const auto token =
-            live_token_.exchange(0, std::memory_order_acq_rel);
-        token != 0) {
-        backend_->cancel(token);
+    if (live_token_ != 0) {
+        backend_->cancel(live_token_);
+        live_token_ = 0;
     }
-    if (const auto token =
-            health_token_.exchange(0, std::memory_order_acq_rel);
-        token != 0) {
-        backend_->cancel(token);
+    if (health_token_ != 0) {
+        backend_->cancel(health_token_);
+        health_token_ = 0;
     }
     // Final shard fold so the drain-time row/snapshot (and any late
     // scrape) see fully caught-up registry values.
@@ -900,18 +898,15 @@ Engine::onLiveTick()
 {
     if (run_complete_.load(std::memory_order_acquire))
         return;
-    {
-        std::lock_guard lock(mutex_);
-        if (finished_)
-            return;
-        if (metric_shards_.has_value())
-            metric_shards_->fold(); // snapshot sees current values
-        liveSnapshotLocked();
-    }
-    live_token_.store(
+    std::lock_guard lock(mutex_);
+    if (finished_)
+        return;
+    if (metric_shards_.has_value())
+        metric_shards_->fold(); // snapshot sees current values
+    liveSnapshotLocked();
+    live_token_ =
         backend_->after(std::max(options_.live_interval_seconds, 1e-6),
-                        [this] { onLiveTick(); }),
-        std::memory_order_release);
+                        [this] { onLiveTick(); });
 }
 
 void
@@ -994,18 +989,13 @@ Engine::onHealthTick()
 {
     if (run_complete_.load(std::memory_order_acquire))
         return; // drained while this callback was in flight
-    {
-        std::lock_guard lock(mutex_);
-        if (finished_)
-            return;
-        healthTickWindowLocked();
-    }
-    // Re-armed outside the mutex, same benign race as the sampler.
-    health_token_.store(
-        backend_->after(
-            std::max(health_->config().tick_seconds, 1e-6),
-            [this] { onHealthTick(); }),
-        std::memory_order_release);
+    std::lock_guard lock(mutex_);
+    if (finished_)
+        return;
+    healthTickWindowLocked();
+    health_token_ =
+        backend_->after(std::max(health_->config().tick_seconds, 1e-6),
+                        [this] { onHealthTick(); });
 }
 
 void
@@ -1037,11 +1027,6 @@ Engine::healthTickWindowLocked()
     health_prev_trace_dropped_ = trace_dropped;
     health_prev_span_dropped_ = span_dropped;
     health_prev_records_ = records;
-
-    const std::uint64_t ebr_advances = span_buffer_->epochAdvances();
-    sample.ebr_pending = span_buffer_->epochPending();
-    sample.ebr_advances = ebr_advances - health_prev_ebr_advances_;
-    health_prev_ebr_advances_ = ebr_advances;
 
     sample.pair_samples = health_window_samples_;
     sample.sum_tm = health_window_sum_tm_;
@@ -1591,15 +1576,6 @@ Engine::finishResult()
         metrics->add("runtime.worker_parks", 0); // shards added real
         metrics->add("runtime.worker_wakes",
                      static_cast<std::int64_t>(wake_notifies_));
-        metrics->add("obs.ebr_epoch_advances",
-                     static_cast<std::int64_t>(
-                         span_buffer_->epochAdvances()));
-        metrics->add("obs.ebr_advance_stalls",
-                     static_cast<std::int64_t>(
-                         span_buffer_->epochStalls()));
-        metrics->set("obs.ebr_pending",
-                     static_cast<double>(
-                         span_buffer_->epochPending()));
         publishHealthMetricsLocked(); // final alert state (if any)
         metrics->setMax("runtime.peak_mem_in_flight",
                         result.peak_mem_in_flight);

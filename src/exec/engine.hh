@@ -750,12 +750,13 @@ class Engine
 
     std::optional<obs::Tracer> tracer_; ///< one ring per context
 
-    // Per-job causal spans (see obs/span.hh). Appends for one pair
-    // are serialized by the pair's own dependency chain (memory
-    // completes-before compute dispatches), but *different* pairs'
-    // spans open/close concurrently on worker threads, so the flags
-    // must be independent atomics -- a packed vector<bool> would
-    // race on the shared words.
+    // Per-job causal spans (see obs/span.hh). Opens and attempt
+    // appends for one pair are serialized by the pair's own
+    // dependency chain (memory completes-before compute dispatches),
+    // but *different* pairs' spans open concurrently on worker
+    // threads, so the flags must be independent atomics -- a packed
+    // vector<bool> would race on the shared words. Every close, the
+    // only write to span_buffer_, runs under mutex_.
     std::optional<obs::SpanBuffer> span_buffer_;
     std::vector<obs::JobSpan> open_span_; ///< per pair, in assembly
     std::vector<std::atomic<bool>> span_open_;
@@ -785,7 +786,6 @@ class Engine
     std::uint64_t health_prev_trace_dropped_ = 0;
     std::uint64_t health_prev_span_dropped_ = 0;
     std::uint64_t health_prev_records_ = 0;
-    std::uint64_t health_prev_ebr_advances_ = 0;
     // Model-bound window sums (accumulated in completePairLocked).
     int health_window_samples_ = 0;
     double health_window_sum_tm_ = 0.0;
@@ -795,7 +795,7 @@ class Engine
     std::vector<std::uint64_t> health_pub_fired_;
     std::vector<std::uint64_t> health_pub_cleared_;
     std::uint64_t health_pub_dropped_ = 0;
-    std::atomic<ExecutionBackend::TimerToken> health_token_{0};
+    ExecutionBackend::TimerToken health_token_ = 0;
 
     /** Sampler rows skipped because the scheduler mutex was busy
      *  (try_to_lock miss); published as obs.timeseries_skipped. */
@@ -812,12 +812,12 @@ class Engine
     // run_complete_ gates late timer callbacks (watchdog, sampler).
     std::atomic<bool> run_complete_{false};
     ExecutionBackend::TimerToken watchdog_token_ = 0;
-    // The sampler/live ticks re-arm their own token *outside* the
-    // scheduler mutex (the sampler only try-locks it), racing with
-    // the cancel at finish; atomic tokens keep that race benign (a
-    // stray timer is gated by run_complete_).
+    ExecutionBackend::TimerToken live_token_ = 0;
+    // The sampler re-arms its own token *outside* the scheduler
+    // mutex (it only try-locks it), racing with the cancel at finish;
+    // the atomic token keeps that race benign (a stray timer is
+    // gated by run_complete_).
     std::atomic<ExecutionBackend::TimerToken> timeseries_token_{0};
-    std::atomic<ExecutionBackend::TimerToken> live_token_{0};
     double drain_seconds_ = -1.0; ///< engine clock at finish
 };
 

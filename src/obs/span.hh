@@ -16,27 +16,22 @@
  *
  * The identity holds by construction (queue_wait is defined as the
  * non-executing remainder), so per-job components always sum to the
- * measured response. Spans land in a bounded SpanBuffer mirroring
- * TraceRing: the oldest spans are overwritten when full and counted
- * in dropped() (published as `obs.spans_dropped`). chrome_trace.hh
- * renders spans as flow events linking the arrival instant to the
- * completing worker slice; analyzer.hh aggregates the critical-path
- * components per priority class.
+ * measured response. Spans land in a SpanBuffer, the bounded ring
+ * (ring.hh) the trace uses too. chrome_trace.hh renders spans as
+ * flow events linking the arrival instant to the completing worker
+ * slice; analyzer.hh aggregates the critical-path components per
+ * priority class.
  */
 
 #ifndef TT_OBS_SPAN_HH
 #define TT_OBS_SPAN_HH
 
-#include <atomic>
-#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "load/admission.hh"
 #include "obs/perf/counters.hh"
-#include "util/concurrency/epoch.hh"
+#include "obs/ring.hh"
 
 namespace tt::obs {
 
@@ -138,97 +133,21 @@ struct JobSpan
 CriticalPath computeCriticalPath(const JobSpan &span);
 
 /**
- * Bounded span store, concurrent-writer safe. record() claims a
- * global sequence number with one fetch_add and publishes the span
- * into a slot of a segmented log; the logical window is the last
- * `capacity` sequences, so the observable contract matches the old
- * locked ring exactly — the oldest span falls out when full and the
- * loss shows up in dropped().
+ * Bounded span store: the oldest span is overwritten when full and
+ * the loss shows up in dropped() (published as `obs.spans_dropped`).
  *
- * Storage is a linked list of fixed-size segments rather than one
- * ring: slots are written once, never recycled, so writers never
- * race a reader over a wrapping slot. A segment wholly below the
- * window is unlinked (rare, under a small mutex) and handed to an
- * EpochReclaimer; readers traverse under an epoch guard, so the
- * segment is freed only after every reader that could still hold a
- * pointer into it has left. Slot publication is a release store of
- * the slot's ready flag, matched by acquire loads in spans().
- *
- * On the host, spans are recorded by whichever worker completes the
- * pair; on the sim, by the single event loop.
+ * record() has one writer at a time: exec::Engine closes every span
+ * under its scheduler mutex (admission verdict, pair completion,
+ * terminal failure), on the host and the sim alike, so the ring holds
+ * spans in terminal order. spans() is read after drain.
  */
-class SpanBuffer
+class SpanBuffer : public BoundedRing<JobSpan>
 {
   public:
-    explicit SpanBuffer(std::size_t capacity);
-    ~SpanBuffer();
+    using BoundedRing::BoundedRing;
 
-    SpanBuffer(const SpanBuffer &) = delete;
-    SpanBuffer &operator=(const SpanBuffer &) = delete;
-
-    /** Append one finalized span, overwriting the oldest when full. */
-    void record(JobSpan span);
-
-    std::size_t capacity() const { return capacity_; }
-
-    /** Spans currently held (<= capacity). */
-    std::size_t size() const;
-
-    /** Total spans recorded, including overwritten ones. */
-    std::uint64_t recorded() const;
-
-    /** Spans lost to the window sliding past them. */
-    std::uint64_t dropped() const;
-
-    /**
-     * Spans in the window, oldest first. Safe concurrently with
-     * writers: slots still being filled at the call instant are
-     * skipped (quiesced callers — drain, tests — see every slot).
-     */
-    std::vector<JobSpan> spans() const;
-
-    /** Reclamation telemetry, forwarded from the embedded EBR
-     *  instance (obs.ebr.* metrics / the ebr_lag detector). */
-    std::uint64_t epochAdvances() const { return epoch_.advances(); }
-    std::uint64_t epochStalls() const
-    {
-        return epoch_.advanceStalls();
-    }
-    std::uint64_t epochPending() const { return epoch_.pending(); }
-
-  private:
-    /** Spans per segment; segment turnover (and hence every locked
-     *  or epoch-managed operation) happens once per this many
-     *  records. */
-    static constexpr std::size_t kSegmentSpans = 256;
-
-    struct Slot
-    {
-        std::atomic<std::uint32_t> ready{0};
-        JobSpan span;
-    };
-
-    struct Segment
-    {
-        explicit Segment(std::uint64_t base_seq) : base(base_seq) {}
-        const std::uint64_t base; ///< sequence of slots[0]
-        std::vector<Slot> slots{kSegmentSpans};
-        std::atomic<Segment *> next{nullptr};
-    };
-
-    /** Segment covering `seq`, installing it if needed. Must be
-     *  called under an epoch guard. */
-    Segment *segmentFor(std::uint64_t seq);
-
-    /** Unlink and retire segments wholly below the window. */
-    void reclaim(std::uint64_t window_start);
-
-    std::size_t capacity_;
-    alignas(64) std::atomic<std::uint64_t> next_seq_{0};
-    std::atomic<Segment *> head_; ///< oldest live segment
-    std::atomic<Segment *> tail_; ///< newest segment (install hint)
-    std::mutex install_mutex_;    ///< guards head_/tail_ updates
-    mutable util::EpochReclaimer epoch_{16};
+    /** Spans in the window, oldest first (call after drain). */
+    std::vector<JobSpan> spans() const { return items(); }
 };
 
 } // namespace tt::obs

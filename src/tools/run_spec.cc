@@ -187,6 +187,9 @@ parseRunSpec(const Flags &flags, const std::string &default_workload,
     if (!(spec.ratio > 0.0))
         reader.reject("--ratio must be > 0, got " +
                       flags.getString("ratio", ""));
+    if (spec.host && flags.has("ratio"))
+        reader.reject("--ratio is simulator-only; size the --host loops "
+                      "with --count and --footprint-kb");
     spec.footprint_bytes =
         static_cast<std::uint64_t>(reader.get("footprint-kb", 512, 1)) * 1024;
     spec.pairs = reader.get("pairs", 128, 1);

@@ -258,6 +258,7 @@ TEST(RunSpec, RejectsBadValuesWithAMessage)
         {{"--host", "--policy", "offline"}, "offline"},
         {{"--host", "--threads", "0"}, "--threads"},
         {{"--host", "--count", "-1"}, "--count"},
+        {{"--host", "--ratio", "0.9"}, "--ratio"},
         {{"--queue-cap", "0"}, "--queue-cap"},
         {{"--slo-us", "-1"}, "--slo-us"},
         {{"--service-us", "-1"}, "--service-us"},

@@ -449,6 +449,48 @@ TEST(Analyzer, CriticalPathSectionAndDiffContract)
 }
 
 /**
+ * Spans are written under the scheduler mutex, so a span buffer
+ * smaller than the run keeps exactly the last `capacity` spans to
+ * close, oldest first, while 4 real workers complete pairs at once.
+ * Pair completions append result.samples under the same mutex just
+ * before closing the span, so the samples' end times give the
+ * terminal order.
+ */
+TEST(Span, HostSpanBufferKeepsTheLastSpansInTerminalOrder)
+{
+    constexpr std::size_t kPairs = 96;
+    constexpr std::size_t kCapacity = 24;
+    const TaskGraph graph = hostGraph(static_cast<int>(kPairs));
+    EngineOptions options;
+    options.threads = 4;
+    options.pin_affinity = false;
+    options.span_capacity = kCapacity;
+
+    StaticMtlPolicy policy(4, 4);
+    tt::runtime::Runtime runtime(graph, policy, options);
+    const auto result = runtime.run();
+    ASSERT_FALSE(result.failed);
+    ASSERT_EQ(result.samples.size(), kPairs);
+    EXPECT_EQ(result.spans_dropped, kPairs - kCapacity);
+    ASSERT_EQ(result.spans.size(), kCapacity);
+
+    std::vector<int> pairs;
+    for (std::size_t i = 0; i < kCapacity; ++i) {
+        const JobSpan &span = result.spans[i];
+        EXPECT_EQ(span.outcome, SpanOutcome::Completed);
+        EXPECT_EQ(span.end,
+                  result.samples[kPairs - kCapacity + i].end_time)
+            << "span " << i << " out of terminal order";
+        expectDecomposes(span);
+        pairs.push_back(span.pair);
+    }
+    std::sort(pairs.begin(), pairs.end());
+    EXPECT_EQ(std::adjacent_find(pairs.begin(), pairs.end()),
+              pairs.end())
+        << "a pair's span was recorded twice";
+}
+
+/**
  * Acceptance budget: total self-observability cost -- span assembly,
  * trace recording, counter reads, sampling, live export -- stays
  * under 3% of makespan on a real-thread run that exercises all of it.
